@@ -12,41 +12,39 @@ occupies 384 cells versus the MLC schemes' 296 (see
 
 from __future__ import annotations
 
-from ..core.policies.base import BaseDriftPolicy, PolicyContext
+from typing import Optional
+
+from ..core.policies.base import BaseDriftPolicy, PolicyContext, clean_read
 from ..core.registry import register_scheme
-from ..memsim.policy import ReadDecision, ReadMode, WriteDecision
+from ..memsim.policy import VERIFY_NONE, Kernels, SpeculationPlan
 from ..pcm.area import tlc_line_budget
 
 __all__ = ["TlcPolicy"]
+
+#: Relative per-cell program effort of tri-level versus 4-level P&V
+#: writes (tri-level targets are wider, so fewer verify iterations are
+#: needed). Scales the effective cell count charged per write.
+WRITE_EFFICIENCY = 0.75
 
 
 @register_scheme("TLC")
 class TlcPolicy(BaseDriftPolicy):
     """TLC scheme: drift-resilient tri-level cells, no scrubbing.
 
-    Args:
-        ctx: Platform/workload context.
-        write_efficiency: Relative per-cell program effort of tri-level
-            versus 4-level P&V writes (tri-level targets are wider, so
-            fewer verify iterations are needed). Scales the effective
-            cell count charged per write.
+    Three wide levels sense fast and do not accumulate drift errors at
+    the timescales under study, so every read is a clean R-read.
     """
 
     name = "TLC"
     scrub_interval_s = None
 
-    def __init__(self, ctx: PolicyContext, write_efficiency: float = 0.75) -> None:
+    def __init__(self, ctx: PolicyContext) -> None:
         super().__init__(ctx)
-        if not 0 < write_efficiency <= 1:
-            raise ValueError("write_efficiency must be in (0, 1]")
         self.cells_per_line = tlc_line_budget().total_cells
-        self._write_cells = int(round(self.cells_per_line * write_efficiency))
+        self._write_cells = int(round(self.cells_per_line * WRITE_EFFICIENCY))
 
-    def on_read(self, line: int, now_s: float) -> ReadDecision:
-        # Three wide levels sense fast and do not accumulate drift errors
-        # at the timescales under study.
-        return ReadDecision(mode=ReadMode.R)
+    def kernels(self) -> Kernels:
+        return clean_read, self._write_kernel(self._write_cells), self._write_kernel(), None
 
-    def on_write(self, line: int, now_s: float) -> WriteDecision:
-        self.record_write(line, now_s)
-        return WriteDecision(cells_written=self._write_cells, full_line=True)
+    def speculation_plan(self) -> Optional[SpeculationPlan]:
+        return SpeculationPlan("R", False, False, None, VERIFY_NONE, self._write_cells, None)

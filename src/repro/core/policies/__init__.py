@@ -17,6 +17,7 @@ from .base import (
     BaseDriftPolicy,
     IdealPolicy,
     PolicyContext,
+    classify_r_read,
 )
 from .scrubbing import ScrubbingPolicy
 from .mmetric import MMetricPolicy
@@ -43,4 +44,5 @@ __all__ = [
     "LwtPolicy",
     "SelectPolicy",
     "TlcPolicy",
+    "classify_r_read",
 ]

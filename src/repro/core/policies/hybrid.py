@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..registry import register_scheme
-from ...memsim.policy import ReadDecision, ScrubDecision
-from .base import M_SCRUB_INTERVAL_S, BaseDriftPolicy, PolicyContext
+from ...memsim.policy import VERIFY_HYBRID, Kernels, SpeculationPlan
+from .base import M_SCRUB_INTERVAL_S, BaseDriftPolicy, classify_r_read
 
 __all__ = ["HybridPolicy"]
 
@@ -21,20 +23,33 @@ class HybridPolicy(BaseDriftPolicy):
     """
 
     name = "Hybrid"
+    scrub_interval_s = M_SCRUB_INTERVAL_S
 
-    def __init__(
-        self, ctx: PolicyContext, interval_s: float = M_SCRUB_INTERVAL_S
-    ) -> None:
-        super().__init__(ctx)
-        self.scrub_interval_s = interval_s
+    def kernels(self) -> Kernels:
+        last_write_of = self._last_write_fn()
+        scrub_pass_age = self._scrub_pass_age_fn()
+        sample_r, _ = self.sampler.sample_fns()
+        lw = self.last_write_s
+        scrub_result = ("M", True, self.full_cells, 0)
 
-    def _effective_age(self, line: int, now_s: float) -> float:
-        return min(self.age_of(line, now_s), self.scrub_pass_age(line, now_s))
+        def on_read(line: int, now_s: float) -> tuple:
+            # Effective age: since the last write, capped by the W=0 sweep.
+            age = now_s - last_write_of(line)
+            if age < 0.0:
+                age = 0.0
+            spa = scrub_pass_age(line, now_s)
+            if spa < age:
+                age = spa
+            return classify_r_read(sample_r(age), False)
 
-    def on_read(self, line: int, now_s: float) -> ReadDecision:
-        errors = self.sampler.sample_errors(self._effective_age(line, now_s), "R")
-        return self._classify_r_read(errors)
+        def on_scrub(line: int, now_s: float) -> tuple:
+            lw[line] = now_s
+            return scrub_result
 
-    def on_scrub(self, line: int, now_s: float) -> ScrubDecision:
-        self.record_write(line, now_s)
-        return ScrubDecision(metric="M", rewrite=True, cells_written=self.full_cells)
+        write = self._write_kernel()
+        return on_read, write, write, on_scrub
+
+    def speculation_plan(self) -> Optional[SpeculationPlan]:
+        # Reads sample at the sweep-capped age; a draw in the detectable
+        # band would turn the read into an R-M-read, so it aborts.
+        return SpeculationPlan("R", True, True, "R", VERIFY_HYBRID, self.full_cells, "M")

@@ -5,15 +5,19 @@ from __future__ import annotations
 from ..conversion import AdaptiveConversionController
 from ..lwt import QuantizedTracker
 from ..registry import register_scheme
-from ...memsim.policy import ReadDecision, ReadMode, ScrubDecision, WriteDecision
+from ...memsim.policy import MODE_RM, Kernels
 from .base import (
     CORRECTABLE_ERRORS,
     M_SCRUB_INTERVAL_S,
     BaseDriftPolicy,
     PolicyContext,
+    classify_r_read,
 )
 
-__all__ = ["LwtPolicy"]
+__all__ = ["LwtPolicy", "CONVERSION_INITIAL_T"]
+
+#: Starting conversion ratio ``T`` (percent) of the adaptive throttle.
+CONVERSION_INITIAL_T = 30
 
 
 @register_scheme(
@@ -46,7 +50,6 @@ class LwtPolicy(BaseDriftPolicy):
         k: int = 4,
         interval_s: float = M_SCRUB_INTERVAL_S,
         conversion_enabled: bool = True,
-        conversion_initial_t: int = 30,
     ) -> None:
         super().__init__(ctx)
         self.k = k
@@ -54,7 +57,7 @@ class LwtPolicy(BaseDriftPolicy):
         self.tracker = QuantizedTracker(k, interval_s)
         self.conversion = AdaptiveConversionController(
             rng=self.rng,
-            initial_t=conversion_initial_t,
+            initial_t=CONVERSION_INITIAL_T,
             enabled=conversion_enabled,
         )
         suffix = "" if conversion_enabled else "-noconv"
@@ -63,52 +66,65 @@ class LwtPolicy(BaseDriftPolicy):
     # The tracked event is the last drift-resetting write of the line: a
     # demand write, a conversion write, or a scrub rewrite.
 
-    def _tracked_last(self, line: int) -> float:
-        return self.tracker.last_event_s(line, self.last_write_of(line))
+    def kernels(self) -> Kernels:
+        last_write_of = self._last_write_fn()
+        sample_r, sample_m = self.sampler.sample_fns()
+        lw = self.last_write_s
+        full_cells = self.full_cells
+        tracked_at = self.tracker._last_event_s
+        tracked_get = tracked_at.get
+        sub_len = self.tracker.sub_len_s
+        k = self.k
+        conv = self.conversion
+        conv_enabled = conv.enabled
+        rng_random = conv.rng.random
+        tracked_write = (full_cells, True, 1.0)
 
-    def on_read(self, line: int, now_s: float) -> ReadDecision:
-        last = self._tracked_last(line)
-        tracked = (
-            self.tracker.abs_sub_interval(now_s) - self.tracker.abs_sub_interval(last)
-            < self.k
-        )
-        self.conversion.record_read(untracked=not tracked)
-        if tracked:
-            errors = self.sampler.sample_errors(max(now_s - last, 0.0), "R")
-            return self._classify_r_read(errors, flag_access=True)
-        # Untracked: the flag check terminates R-sensing, M-sensing follows.
-        errors = self.sampler.sample_errors(max(now_s - last, 0.0), "M")
-        return ReadDecision(
-            mode=ReadMode.RM,
-            errors_seen=errors,
-            flag_access=True,
-            convert_to_write=self.conversion.should_convert(),
-            uncorrectable=errors > CORRECTABLE_ERRORS,
-        )
+        def on_read(line: int, now_s: float) -> tuple:
+            last = tracked_get(line)
+            if last is None:
+                last = last_write_of(line)
+            tracked = int(now_s // sub_len) - int(last // sub_len) < k
+            # conversion.record_read(untracked=not tracked), inlined.
+            conv._window_total += 1
+            if not tracked:
+                conv._window_untracked += 1
+            if conv._window_total >= conv.window_reads:
+                conv._end_window()
+            age = now_s - last
+            if age < 0.0:
+                age = 0.0
+            if tracked:
+                return classify_r_read(sample_r(age), True)
+            # Untracked: the flag check terminates R-sensing, M-sensing
+            # follows, and the read may be converted into a rewrite.
+            errors = sample_m(age)
+            # conversion.should_convert(), inlined (the coin follows the
+            # error draw).
+            t = conv.t
+            if not conv_enabled or t <= 0:
+                convert = False
+            elif t >= 100:
+                convert = True
+            else:
+                convert = rng_random() * 100.0 < t
+            return (MODE_RM, errors, convert, False, errors > CORRECTABLE_ERRORS, True)
 
-    def on_write(self, line: int, now_s: float) -> WriteDecision:
-        self.record_write(line, now_s)
-        self.tracker.record_event(line, now_s)
-        return WriteDecision(
-            cells_written=self.full_cells, full_line=True, flag_update=True
-        )
+        def on_tracked_write(line: int, now_s: float) -> tuple:
+            lw[line] = now_s
+            tracked_at[line] = now_s
+            return tracked_write
 
-    def on_conversion_write(self, line: int, now_s: float) -> WriteDecision:
-        self.record_write(line, now_s)
-        self.tracker.record_event(line, now_s)
-        return WriteDecision(
-            cells_written=self.full_cells, full_line=True, flag_update=True
-        )
+        def on_scrub(line: int, now_s: float) -> tuple:
+            # W=1: rewrite only on detected errors.
+            age = now_s - last_write_of(line)
+            if age < 0.0:
+                age = 0.0
+            errors = sample_m(age)
+            if errors >= 1:
+                lw[line] = now_s
+                tracked_at[line] = now_s
+                return ("M", True, full_cells, errors)
+            return ("M", False, 0, errors)
 
-    def on_scrub(self, line: int, now_s: float) -> ScrubDecision:
-        errors = self.sampler.sample_errors(self.age_of(line, now_s), "M")
-        rewrite = errors >= 1
-        if rewrite:
-            self.record_write(line, now_s)
-            self.tracker.record_event(line, now_s)
-        return ScrubDecision(
-            metric="M",
-            rewrite=rewrite,
-            cells_written=self.full_cells if rewrite else 0,
-            errors_seen=errors,
-        )
+        return on_read, on_tracked_write, on_tracked_write, on_scrub

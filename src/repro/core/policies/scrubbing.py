@@ -2,13 +2,19 @@
 
 from __future__ import annotations
 
-from typing import Dict
+from typing import Dict, Optional
 
 import numpy as np
 
+from ..agemodel import _splitmix64
 from ..registry import register_scheme
 from ..sampler import DriftErrorSampler
-from ...memsim.policy import ReadDecision, ReadMode, ScrubDecision, WriteDecision
+from ...memsim.policy import (
+    MODE_R,
+    VERIFY_UNCORR_DET,
+    Kernels,
+    SpeculationPlan,
+)
 from .base import (
     CORRECTABLE_ERRORS,
     DATA_CELLS,
@@ -75,59 +81,95 @@ class ScrubbingPolicy(BaseDriftPolicy):
         weights = survival / survival.sum()
         self._stationary_cdf = np.cumsum(weights)
 
-    def _initial_survived(self, line: int) -> int:
-        """Deterministic stationary survived-interval count for ``line``."""
-        from ..agemodel import _splitmix64
+    def kernels(self) -> Kernels:
+        last_write_of = self._last_write_fn()
+        sample_r, _ = self.sampler.sample_fns()
+        lw = self.last_write_s
+        full_cells = self.full_cells
+        surv = self._survived
 
-        u = (_splitmix64((line << 2) ^ self.ctx.seed ^ 0xA5A5) >> 11) / float(1 << 53)
-        return int(np.searchsorted(self._stationary_cdf, u))
+        def classify(errors: int) -> tuple:
+            # R-only sensing has no fallback: 9-17 errors are bad but flagged.
+            if errors <= CORRECTABLE_ERRORS:
+                return (MODE_R, errors, False, False, False, False)
+            if errors <= DETECTABLE_ERRORS:
+                return (MODE_R, errors, False, False, True, False)
+            return (MODE_R, errors, False, True, False, False)
 
-    def _survived_intervals(self, line: int) -> int:
-        cached = self._survived.get(line)
-        if cached is None:
-            cached = self._initial_survived(line)
-            self._survived[line] = cached
-        return cached
+        def on_write(line: int, now_s: float) -> tuple:
+            surv[line] = 0
+            lw[line] = now_s
+            return (full_cells, False, 1.0)
 
-    def _effective_age(self, line: int, now_s: float) -> float:
-        raw = self.age_of(line, now_s)
+        # Scrubbing never converts reads; a conversion write would be a
+        # plain full-line write.
+        conversion_write = self._write_kernel()
+
         if self.w == 0:
-            return min(raw, self.scrub_pass_age(line, now_s))
-        renewal_age = (self._survived_intervals(line) + 0.5) * self.scrub_interval_s
-        return min(raw, renewal_age)
+            scrub_pass_age = self._scrub_pass_age_fn()
+            scrub_result = ("R", True, full_cells, 0)
 
-    def on_read(self, line: int, now_s: float) -> ReadDecision:
-        errors = self.sampler.sample_errors(self._effective_age(line, now_s), "R")
-        if errors <= CORRECTABLE_ERRORS:
-            return ReadDecision(mode=ReadMode.R, errors_seen=errors)
-        if errors <= DETECTABLE_ERRORS:
-            # R-only sensing has no fallback: data is bad but flagged.
-            return ReadDecision(mode=ReadMode.R, errors_seen=errors, uncorrectable=True)
-        return ReadDecision(mode=ReadMode.R, errors_seen=errors, silent_corruption=True)
+            def on_read_w0(line: int, now_s: float) -> tuple:
+                age = now_s - last_write_of(line)
+                if age < 0.0:
+                    age = 0.0
+                spa = scrub_pass_age(line, now_s)
+                if spa < age:
+                    age = spa
+                return classify(sample_r(age))
 
-    def on_write(self, line: int, now_s: float) -> WriteDecision:
-        self._survived[line] = 0
-        return super().on_write(line, now_s)
+            def on_scrub_w0(line: int, now_s: float) -> tuple:
+                lw[line] = now_s
+                return scrub_result
 
-    def on_scrub(self, line: int, now_s: float) -> ScrubDecision:
-        if self.w == 0:
-            self.record_write(line, now_s)
-            return ScrubDecision(
-                metric="R", rewrite=True, cells_written=self.full_cells
-            )
-        m = self._survived_intervals(line)
-        hazard = float(self._hazard[min(m, self._MAX_INTERVALS - 1)])
-        rewrite = bool(self.rng.random() < hazard)
-        if rewrite:
-            self._survived[line] = 0
-            self.record_write(line, now_s)
-        else:
-            self._survived[line] = m + 1
-        return ScrubDecision(
-            metric="R",
-            rewrite=rewrite,
-            cells_written=self.full_cells if rewrite else 0,
-            errors_seen=1 if rewrite else 0,
+            return on_read_w0, on_write, conversion_write, on_scrub_w0
+
+        surv_get = surv.get
+        cdf = self._stationary_cdf
+        seed = self.ctx.seed
+        searchsorted = np.searchsorted
+        interval = self.scrub_interval_s
+        hazards = self._hazard.tolist()
+        max_m = self._MAX_INTERVALS - 1
+        rng_random = self.rng.random
+
+        def survived_of(line: int) -> int:
+            cached = surv_get(line)
+            if cached is None:
+                # Deterministic stationary survived-interval count.
+                u = (_splitmix64((line << 2) ^ seed ^ 0xA5A5) >> 11) / float(1 << 53)
+                cached = surv[line] = int(searchsorted(cdf, u))
+            return cached
+
+        def on_read_w1(line: int, now_s: float) -> tuple:
+            age = now_s - last_write_of(line)
+            if age < 0.0:
+                age = 0.0
+            renewal_age = (survived_of(line) + 0.5) * interval
+            if renewal_age < age:
+                age = renewal_age
+            return classify(sample_r(age))
+
+        def on_scrub_w1(line: int, now_s: float) -> tuple:
+            # Rewrite with the conditional first-error hazard q(m).
+            m = survived_of(line)
+            if rng_random() < hazards[m if m < max_m else max_m]:
+                surv[line] = 0
+                lw[line] = now_s
+                return ("R", True, full_cells, 1)
+            surv[line] = m + 1
+            return ("R", False, 0, 0)
+
+        return on_read_w1, on_write, conversion_write, on_scrub_w1
+
+    def speculation_plan(self) -> Optional[SpeculationPlan]:
+        if self.w != 0:
+            return None
+        # W=0: reads sample at the sweep-capped age and their outcome only
+        # flips counters, never the mode — speculation cannot abort.
+        return SpeculationPlan(
+            "R", True, True, "R", VERIFY_UNCORR_DET, self.full_cells, "R",
+            survived=self._survived,
         )
 
 

@@ -3,7 +3,7 @@
 from __future__ import annotations
 
 from ..registry import register_scheme
-from ...memsim.policy import WriteDecision
+from ...memsim.policy import Kernels
 from .base import DATA_CELLS, M_SCRUB_INTERVAL_S, PolicyContext
 from .lwt import LwtPolicy
 
@@ -48,24 +48,25 @@ class SelectPolicy(LwtPolicy):
         self.name = f"Select-{k}:{s}"
         self._check_cells = max(self.full_cells - DATA_CELLS, 0)
 
-    def on_write(self, line: int, now_s: float) -> WriteDecision:
-        last_full = self._tracked_last(line)
-        dist = self.tracker.abs_sub_interval(now_s) - self.tracker.abs_sub_interval(
-            last_full
-        )
-        if dist < self.s:
-            # Differential write: modified data cells + check cells; the
-            # tracking flags (last full write) are left untouched.
-            changed = int(
-                self.rng.binomial(DATA_CELLS, self.ctx.profile.write_change_fraction)
-            )
-            return WriteDecision(
-                cells_written=changed + self._check_cells,
-                full_line=False,
-                flag_update=False,
-            )
-        self.record_write(line, now_s)
-        self.tracker.record_event(line, now_s)
-        return WriteDecision(
-            cells_written=self.full_cells, full_line=True, flag_update=True
-        )
+    def kernels(self) -> Kernels:
+        on_read, tracked_write, conversion_write, on_scrub = super().kernels()
+        last_write_of = self._last_write_fn()
+        tracked_get = self.tracker._last_event_s.get
+        sub_len = self.tracker.sub_len_s
+        s = self.s
+        check_cells = self._check_cells
+        change_fraction = self.ctx.profile.write_change_fraction
+        binomial = self.rng.binomial
+
+        def on_write(line: int, now_s: float) -> tuple:
+            last_full = tracked_get(line)
+            if last_full is None:
+                last_full = last_write_of(line)
+            if int(now_s // sub_len) - int(last_full // sub_len) < s:
+                # Differential write: modified data cells + check cells; the
+                # tracking flags (last full write) are left untouched.
+                changed = int(binomial(DATA_CELLS, change_fraction))
+                return (changed + check_cells, False, 1.0)
+            return tracked_write(line, now_s)
+
+        return on_read, on_write, conversion_write, on_scrub

@@ -11,7 +11,8 @@ RNG entirely.
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from bisect import bisect_right
+from typing import Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -154,6 +155,50 @@ class DriftErrorSampler:
         if p <= self._negligible_p:
             return 0
         return int(self.rng.binomial(self.cells, p))
+
+    def sample_fns(self) -> Tuple[Callable[[float], int], Callable[[float], int]]:
+        """Fast ``(sample_r, sample_m)`` closures: ``sample_errors`` per metric.
+
+        The probability lookup replaces ``np.interp`` with a bisect into
+        the shared grid plus a precomputed per-segment slope — the
+        arithmetic produces the identical double (see SamplerTables) —
+        and the binomial draw calls this sampler's Generator exactly as
+        :meth:`sample_errors` does. Policy kernels are built on these.
+        """
+        tables = self.tables
+        xs = tables.log_grid_list
+        lo_age = float(tables.grid[0])
+        hi_age = float(tables.grid[-1])
+        neg_p = self._negligible_p
+        cells = self.cells
+        binomial = self.rng.binomial
+        log10 = np.log10
+        br = bisect_right
+        # log10 can land exactly on xs[-1] for an age still below hi_age
+        # (adjacent doubles collapse in log space near the grid top);
+        # np.interp returns the top table value there.
+        last = len(xs) - 1
+
+        def make(p_tab: List[float], slope: List[float]) -> Callable[[float], int]:
+            p_lo = p_tab[0]
+            p_hi = p_tab[-1]
+
+            def sample(age: float) -> int:
+                if age <= lo_age:
+                    p = p_lo
+                elif age >= hi_age:
+                    p = p_hi
+                else:
+                    x = log10(age)
+                    j = br(xs, x) - 1
+                    p = p_hi if j >= last else slope[j] * (x - xs[j]) + p_tab[j]
+                if p <= neg_p:
+                    return 0
+                return int(binomial(cells, p))
+
+            return sample
+
+        return make(tables.p_r_list, tables.slope_r), make(tables.p_m_list, tables.slope_m)
 
     def expected_errors(self, age_s: float, metric: str = "R") -> float:
         """Mean drifted-cell count at ``age_s`` (no sampling)."""

@@ -83,7 +83,6 @@ class WriteTruncationWrapper:
             self.truncated_writes += 1
         return WriteDecision(
             cells_written=decision.cells_written,
-            full_line=decision.full_line,
             flag_update=decision.flag_update,
             latency_scale=scale,
         )

@@ -1,4 +1,4 @@
-"""Batch simulation kernel: the fast, bit-identical engine path.
+"""Batch simulation loop: the fast, bit-identical engine path.
 
 This module is the performance half of the engine-flag pair described in
 docs/PERFORMANCE.md. :func:`simulate_batch` replays the *same* discrete
@@ -7,12 +7,13 @@ heap push, sequence number, RNG draw, and floating-point accumulation
 happens in the identical order — but strips the per-event Python cost
 that dominates the scalar engine:
 
-* **Compiled policy kernels.** Each registered scheme family gets a
-  closure that inlines its read/write/scrub math (age model, tracker,
-  conversion controller, renewal hazard) and returns plain tuples
-  instead of frozen dataclass decisions. Policies the kernel compiler
-  does not recognize fall back to calling the policy object directly,
-  which is always semantically exact.
+* **Policy kernels.** Each policy supplies its read/write/scrub
+  semantics as closures returning plain tuples (``policy.kernels()``,
+  layout in :mod:`repro.memsim.policy`) instead of frozen dataclass
+  decisions. The event engine's hooks are adapters over the same
+  kernels, so there is one implementation of each scheme. Objects that
+  implement only the hook protocol (wrappers, scripted test policies)
+  are driven through their hooks, which is always semantically exact.
 * **Precomputed drift tables.** Per-cell error probabilities come from
   the shared :class:`repro.core.sampler.SamplerTables` slope arrays; the
   bisect-based linear interpolation reproduces ``np.interp`` on the same
@@ -37,10 +38,8 @@ outside :meth:`SimSpec.content_hash`.
 from __future__ import annotations
 
 import heapq
-import math
-from bisect import bisect_right
 from collections import deque
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -49,7 +48,7 @@ from ..faults.injector import FaultInjector
 from ..obs import Telemetry
 from ..traces.trace import OP_READ, Trace
 from .config import DEFAULT_EPOCH_S, DEFAULT_MEMORY_CONFIG, MemoryConfig
-from .policy import ReadMode, SchemePolicy
+from .policy import MODE_M, MODE_RM, MODE_STR, READ_MODES, Kernels, SchemePolicy
 from .stats import RunStats
 
 __all__ = ["simulate_batch", "last_fastpath", "TELEMETRY_FLUSH_WINDOW"]
@@ -74,21 +73,10 @@ _EV_CHANNEL_DONE = 3
 _JOB_READ = 0
 _JOB_WRITE = 1
 
-# Read modes as small ints inside the kernel; the boundary back to
-# strings/enums happens only in accounting.
-_MODE_R = 0
-_MODE_M = 1
-_MODE_RM = 2
-_MODE_STR = ("R", "M", "RM")
-_MODE_FROM_ENUM = {ReadMode.R: _MODE_R, ReadMode.M: _MODE_M, ReadMode.RM: _MODE_RM}
-
 #: Telemetry ring-buffer flush window (histogram bucket counts are
 #: integers, so chunked flushing is exact; the float ``sum`` field is
 #: accumulated per-append to preserve the scalar addition order).
 TELEMETRY_FLUSH_WINDOW = 65536
-
-# Read-decision tuples: (mode, errors, convert, silent, uncorrectable, flag).
-_READ_R_CLEAN = (_MODE_R, 0, False, False, False, False)
 
 _CORR = CORRECTABLE_ERRORS
 _DET = DETECTABLE_ERRORS
@@ -130,134 +118,13 @@ class _Core:
 
 
 # --------------------------------------------------------------------------
-# Policy kernels
-#
-# A kernel bundle is (on_read, on_write, on_conversion_write, on_scrub):
-#   on_read(line, now_s)  -> (mode, errors, convert, silent, uncorr, flag)
-#   on_write(line, now_s) -> (cells_written, flag_update, latency_scale)
-#   on_scrub(line, now_s) -> (metric, rewrite, cells_written, errors_seen)
-# Kernels mutate the *policy object's own* state dicts, so a policy that
-# ran under the batch engine is indistinguishable from one that ran under
-# the oracle.
+# Hook-protocol policies
 # --------------------------------------------------------------------------
 
 
-def _last_write_fn(policy) -> Callable[[int], float]:
-    """Inlined ``BaseDriftPolicy.last_write_of`` with a birth-time memo.
-
-    ``epoch_s - ages.age_of(line)`` is a pure function of the line, so
-    memoizing it is unobservable; it removes the splitmix hash + log from
-    repeat reads of unwritten lines.
-    """
-    lw = policy.last_write_s
-    lw_get = lw.get
-    ages_age_of = policy.ages.age_of
-    epoch = policy.ctx.epoch_s
-    birth: Dict[int, float] = {}
-    birth_get = birth.get
-
-    def last_write_of(line: int) -> float:
-        cached = lw_get(line)
-        if cached is not None:
-            return cached
-        born = birth_get(line)
-        if born is None:
-            born = birth[line] = epoch - ages_age_of(line)
-        return born
-
-    return last_write_of
-
-
-def _scrub_pass_age_fn(policy) -> Callable[[int, float], float]:
-    """Inlined ``BaseDriftPolicy.scrub_pass_age`` (same float ops)."""
-    interval = policy.scrub_interval_s
-    total = policy.ctx.config.total_lines
-    half = total // 2
-    epoch = policy.ctx.epoch_s
-    floor = math.floor
-
-    def scrub_pass_age(line: int, now_s: float) -> float:
-        frac = ((line - half) % total) / total
-        cycles = floor((now_s - epoch) / interval - frac)
-        last_pass = epoch + (cycles + frac) * interval
-        if last_pass > now_s:
-            last_pass -= interval
-        return now_s - last_pass
-
-    return scrub_pass_age
-
-
-def _sampler_fns(sampler):
-    """Fast ``sample_errors(age, metric)`` closures for one sampler.
-
-    The probability lookup replaces ``np.interp`` with a bisect into the
-    shared grid plus a precomputed per-segment slope — the arithmetic
-    produces the identical double (see SamplerTables) — and the binomial
-    draw calls the policy's own Generator exactly as the sampler does.
-    """
-    tables = sampler.tables
-    xs = tables.log_grid_list
-    lo_age = float(tables.grid[0])
-    hi_age = float(tables.grid[-1])
-    p_r = tables.p_r_list
-    p_m = tables.p_m_list
-    slope_r = tables.slope_r
-    slope_m = tables.slope_m
-    p_r_lo = p_r[0]
-    p_r_hi = p_r[-1]
-    p_m_lo = p_m[0]
-    p_m_hi = p_m[-1]
-    neg_p = sampler._negligible_p
-    cells = sampler.cells
-    binomial = sampler.rng.binomial
-    log10 = np.log10
-    br = bisect_right
-    # log10 can land exactly on xs[-1] for an age still below hi_age
-    # (adjacent doubles collapse in log space near the grid top);
-    # np.interp returns the top table value there.
-    last = len(xs) - 1
-
-    def sample_r(age: float) -> int:
-        if age <= lo_age:
-            p = p_r_lo
-        elif age >= hi_age:
-            p = p_r_hi
-        else:
-            x = log10(age)
-            j = br(xs, x) - 1
-            p = p_r_hi if j >= last else slope_r[j] * (x - xs[j]) + p_r[j]
-        if p <= neg_p:
-            return 0
-        return int(binomial(cells, p))
-
-    def sample_m(age: float) -> int:
-        if age <= lo_age:
-            p = p_m_lo
-        elif age >= hi_age:
-            p = p_m_hi
-        else:
-            x = log10(age)
-            j = br(xs, x) - 1
-            p = p_m_hi if j >= last else slope_m[j] * (x - xs[j]) + p_m[j]
-        if p <= neg_p:
-            return 0
-        return int(binomial(cells, p))
-
-    return sample_r, sample_m
-
-
-def _classify_r(errors: int, flag: bool):
-    """``BaseDriftPolicy._classify_r_read`` with convert=False, as a tuple."""
-    if errors <= _CORR:
-        return (_MODE_R, errors, False, False, False, flag)
-    if errors <= _DET:
-        return (_MODE_RM, errors, False, False, False, flag)
-    return (_MODE_R, errors, False, True, False, flag)
-
-
-def _generic_kernels(policy):
-    """Fallback: drive the policy object directly (always exact)."""
-    mode_of = _MODE_FROM_ENUM
+def _generic_kernels(policy: SchemePolicy) -> Kernels:
+    """Kernels for an object that implements only the hook protocol."""
+    mode_of = {mode: i for i, mode in enumerate(READ_MODES)}
 
     def on_read(line: int, now_s: float):
         d = policy.on_read(line, now_s)
@@ -285,269 +152,6 @@ def _generic_kernels(policy):
     return on_read, on_write, on_conversion_write, on_scrub
 
 
-def _base_write_kernel(policy):
-    lw = policy.last_write_s
-    result = (policy.full_cells, False, 1.0)
-
-    def on_write(line: int, now_s: float):
-        lw[line] = now_s
-        return result
-
-    return on_write
-
-
-def _build_kernels(policy):
-    """Compile the policy into kernel closures, or fall back to generic.
-
-    Dispatch is on the *exact* type: subclasses (e.g. plugin schemes, the
-    precise-write baseline) may override any hook, so they take the
-    generic path, which is exact by construction.
-    """
-    # Imported lazily to keep repro.memsim importable without dragging the
-    # policy layer in at module-import time (and to avoid an import cycle:
-    # the policy layer imports memsim.config/policy).
-    from ..baselines.tlc import TlcPolicy
-    from ..core.policies.base import DATA_CELLS, IdealPolicy
-    from ..core.policies.hybrid import HybridPolicy
-    from ..core.policies.lwt import LwtPolicy
-    from ..core.policies.mmetric import MMetricPolicy
-    from ..core.policies.scrubbing import ScrubbingPolicy
-    from ..core.policies.select import SelectPolicy
-
-    kind = type(policy)
-
-    if kind is IdealPolicy or kind is TlcPolicy:
-
-        def on_read_const(line: int, now_s: float):
-            return _READ_R_CLEAN
-
-        if kind is TlcPolicy:
-            lw = policy.last_write_s
-            result = (policy._write_cells, False, 1.0)
-
-            def on_write_tlc(line: int, now_s: float):
-                lw[line] = now_s
-                return result
-
-            return on_read_const, on_write_tlc, _base_write_kernel(policy), None
-        base_write = _base_write_kernel(policy)
-        return on_read_const, base_write, base_write, None
-
-    if kind is HybridPolicy:
-        last_write_of = _last_write_fn(policy)
-        scrub_pass_age = _scrub_pass_age_fn(policy)
-        sample_r, _ = _sampler_fns(policy.sampler)
-        lw = policy.last_write_s
-        scrub_result = ("M", True, policy.full_cells, 0)
-
-        def on_read(line: int, now_s: float):
-            age = now_s - last_write_of(line)
-            if age < 0.0:
-                age = 0.0
-            spa = scrub_pass_age(line, now_s)
-            if spa < age:
-                age = spa
-            return _classify_r(sample_r(age), False)
-
-        def on_scrub(line: int, now_s: float):
-            lw[line] = now_s
-            return scrub_result
-
-        base_write = _base_write_kernel(policy)
-        return on_read, base_write, base_write, on_scrub
-
-    if kind is MMetricPolicy:
-        last_write_of = _last_write_fn(policy)
-        _, sample_m = _sampler_fns(policy.sampler)
-        lw = policy.last_write_s
-        full_cells = policy.full_cells
-        w_floor = max(policy.w, 1)
-
-        def on_read(line: int, now_s: float):
-            age = now_s - last_write_of(line)
-            if age < 0.0:
-                age = 0.0
-            errors = sample_m(age)
-            return (_MODE_M, errors, False, False, errors > _CORR, False)
-
-        def on_scrub(line: int, now_s: float):
-            age = now_s - last_write_of(line)
-            if age < 0.0:
-                age = 0.0
-            errors = sample_m(age)
-            rewrite = errors >= w_floor
-            if rewrite:
-                lw[line] = now_s
-                return ("M", True, full_cells, errors)
-            return ("M", False, 0, errors)
-
-        base_write = _base_write_kernel(policy)
-        return on_read, base_write, base_write, on_scrub
-
-    if kind is ScrubbingPolicy:
-        last_write_of = _last_write_fn(policy)
-        sample_r, _ = _sampler_fns(policy.sampler)
-        lw = policy.last_write_s
-        full_cells = policy.full_cells
-        surv = policy._survived
-        surv_get = surv.get
-        cdf = policy._stationary_cdf
-        seed = policy.ctx.seed
-        searchsorted = np.searchsorted
-        from ..core.agemodel import _splitmix64
-
-        def survived_of(line: int) -> int:
-            cached = surv_get(line)
-            if cached is None:
-                u = (_splitmix64((line << 2) ^ seed ^ 0xA5A5) >> 11) / float(1 << 53)
-                cached = int(searchsorted(cdf, u))
-                surv[line] = cached
-            return cached
-
-        def on_write(line: int, now_s: float):
-            surv[line] = 0
-            lw[line] = now_s
-            return (full_cells, False, 1.0)
-
-        if policy.w == 0:
-            scrub_pass_age = _scrub_pass_age_fn(policy)
-
-            def on_read_w0(line: int, now_s: float):
-                age = now_s - last_write_of(line)
-                if age < 0.0:
-                    age = 0.0
-                spa = scrub_pass_age(line, now_s)
-                if spa < age:
-                    age = spa
-                errors = sample_r(age)
-                if errors <= _CORR:
-                    return (_MODE_R, errors, False, False, False, False)
-                if errors <= _DET:
-                    return (_MODE_R, errors, False, False, True, False)
-                return (_MODE_R, errors, False, True, False, False)
-
-            scrub_result = ("R", True, full_cells, 0)
-
-            def on_scrub_w0(line: int, now_s: float):
-                lw[line] = now_s
-                return scrub_result
-
-            return on_read_w0, on_write, on_write, on_scrub_w0
-
-        interval = policy.scrub_interval_s
-        hazards = policy._hazard.tolist()
-        max_m = policy._MAX_INTERVALS - 1
-        rng_random = policy.rng.random
-
-        def on_read_w1(line: int, now_s: float):
-            age = now_s - last_write_of(line)
-            if age < 0.0:
-                age = 0.0
-            renewal_age = (survived_of(line) + 0.5) * interval
-            if renewal_age < age:
-                age = renewal_age
-            errors = sample_r(age)
-            if errors <= _CORR:
-                return (_MODE_R, errors, False, False, False, False)
-            if errors <= _DET:
-                return (_MODE_R, errors, False, False, True, False)
-            return (_MODE_R, errors, False, True, False, False)
-
-        def on_scrub_w1(line: int, now_s: float):
-            m = survived_of(line)
-            hazard = hazards[m if m < max_m else max_m]
-            if rng_random() < hazard:
-                surv[line] = 0
-                lw[line] = now_s
-                return ("R", True, full_cells, 1)
-            surv[line] = m + 1
-            return ("R", False, 0, 0)
-
-        return on_read_w1, on_write, on_write, on_scrub_w1
-
-    if kind is LwtPolicy or kind is SelectPolicy:
-        last_write_of = _last_write_fn(policy)
-        sample_r, sample_m = _sampler_fns(policy.sampler)
-        lw = policy.last_write_s
-        full_cells = policy.full_cells
-        tracker = policy.tracker
-        tr = tracker._last_event_s
-        tr_get = tr.get
-        sub_len = tracker.sub_len_s
-        k = policy.k
-        conv = policy.conversion
-        conv_enabled = conv.enabled
-        rng_random = conv.rng.random
-        lwt_write = (full_cells, True, 1.0)
-
-        def on_read(line: int, now_s: float):
-            last = tr_get(line)
-            if last is None:
-                last = last_write_of(line)
-            tracked = int(now_s // sub_len) - int(last // sub_len) < k
-            # conversion.record_read(untracked=not tracked), inlined.
-            conv._window_total += 1
-            if not tracked:
-                conv._window_untracked += 1
-            if conv._window_total >= conv.window_reads:
-                conv._end_window()
-            age = now_s - last
-            if age < 0.0:
-                age = 0.0
-            if tracked:
-                return _classify_r(sample_r(age), True)
-            errors = sample_m(age)
-            # conversion.should_convert(), inlined (draw order matches:
-            # the sample above precedes the coin, as in LwtPolicy.on_read).
-            t = conv.t
-            if not conv_enabled or t <= 0:
-                convert = False
-            elif t >= 100:
-                convert = True
-            else:
-                convert = rng_random() * 100.0 < t
-            return (_MODE_RM, errors, convert, False, errors > _CORR, True)
-
-        def on_tracked_write(line: int, now_s: float):
-            lw[line] = now_s
-            tr[line] = now_s
-            return lwt_write
-
-        def on_scrub(line: int, now_s: float):
-            age = now_s - last_write_of(line)
-            if age < 0.0:
-                age = 0.0
-            errors = sample_m(age)
-            if errors >= 1:
-                lw[line] = now_s
-                tr[line] = now_s
-                return ("M", True, full_cells, errors)
-            return ("M", False, 0, errors)
-
-        if kind is SelectPolicy:
-            s = policy.s
-            check_cells = policy._check_cells
-            change_fraction = policy.ctx.profile.write_change_fraction
-            binomial = policy.rng.binomial
-
-            def on_write_select(line: int, now_s: float):
-                last = tr_get(line)
-                if last is None:
-                    last = last_write_of(line)
-                if int(now_s // sub_len) - int(last // sub_len) < s:
-                    changed = int(binomial(DATA_CELLS, change_fraction))
-                    return (changed + check_cells, False, 1.0)
-                lw[line] = now_s
-                tr[line] = now_s
-                return lwt_write
-
-            return on_read, on_write_select, on_tracked_write, on_scrub
-
-        return on_read, on_tracked_write, on_tracked_write, on_scrub
-
-    return _generic_kernels(policy)
-
-
 # --------------------------------------------------------------------------
 # Fault folding on decision tuples (transcribed from MemorySystemSim).
 # --------------------------------------------------------------------------
@@ -567,9 +171,9 @@ def _fault_read_tuple(faults, fc, line, rt):
         fc.detected_uncorrectable += 1
         return rt
     total = errors + extra
-    if mode == _MODE_RM:
+    if mode == MODE_RM:
         count = hard
-    elif mode == _MODE_M:
+    elif mode == MODE_M:
         count = total
     else:
         count = total
@@ -578,12 +182,12 @@ def _fault_read_tuple(faults, fc, line, rt):
             # soft noise, hard errors remain.
             if hard <= _CORR:
                 fc.corrected += 1
-                return (_MODE_RM, total, convert, False, False, flag)
+                return (MODE_RM, total, convert, False, False, flag)
             if hard <= _DET:
                 fc.detected_uncorrectable += 1
-                return (_MODE_RM, total, convert, False, True, flag)
+                return (MODE_RM, total, convert, False, True, flag)
             fc.silent += 1
-            return (_MODE_RM, total, convert, True, False, flag)
+            return (MODE_RM, total, convert, True, False, flag)
     if count <= _CORR:
         fc.corrected += 1
         return (mode, total, convert, silent, uncorr, flag)
@@ -659,7 +263,10 @@ def simulate_batch(
     stats.energy.params = config.energy
     stats.wear.cells_per_line = config.cells_per_line_write
 
-    on_read_k, on_write_k, on_conv_k, on_scrub_k = _build_kernels(policy)
+    kernels = getattr(policy, "kernels", None)
+    on_read_k, on_write_k, on_conv_k, on_scrub_k = (
+        kernels() if kernels is not None else _generic_kernels(policy)
+    )
 
     timing = config.timing
     cycle_ns = timing.cycle_ns
@@ -972,7 +579,7 @@ def simulate_batch(
                     core_id, line, enq, rt = payload
                 mode, errors, convert, silent, uncorr, flag = rt
                 n_reads += 1
-                mode_str = _MODE_STR[mode]
+                mode_str = MODE_STR[mode]
                 reads_by_mode[mode_str] = reads_by_mode.get(mode_str, 0) + 1
                 latency = now - enq
                 total_read_latency += latency

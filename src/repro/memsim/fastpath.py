@@ -11,7 +11,7 @@ scrub sweep — assuming every read resolves in the policy's predicted
 sensing mode. For the eligible policies the read decision cannot feed
 back into the timeline *except* through a mode change (ReadDuo-Hybrid's
 R-to-R+M retry), and writes/scrubs return constant decisions, so the
-timeline is a pure function of the trace. The kernel records each
+timeline is a pure function of the trace. The C timeline records each
 started read's line age, in bank-start order.
 
 Pass 2 (numpy): evaluate the drift sampler over the age array as
@@ -22,7 +22,10 @@ the speculation: if any draw would have changed a read's mode, restore
 the Generator state and report failure; the caller reruns on the
 exact-replay loop, whose results are bit-identical by construction.
 
-Eligibility (everything else falls back — the fallback is always exact):
+Eligibility is declared by each policy as a
+:class:`~repro.memsim.policy.SpeculationPlan` next to the kernels it
+describes (``speculation_plan()``); everything else falls back, and the
+fallback is always exact. The built-in plans:
 
 * ``Ideal`` / ``TLC``: constant clean R-reads, no sampling, no scrub.
 * ``ReadDuo-Hybrid``: R-reads; errors in the detectable band convert the
@@ -31,7 +34,6 @@ Eligibility (everything else falls back — the fallback is always exact):
   reliability wall) the band is never hit and speculation always lands.
 * ``Scrubbing``/W=0: R-reads whose outcome only flips counters (silent /
   uncorrectable), never the mode: no abort case at all.
-* ``M-metric`` without scrubbing: M-reads, counter-only outcomes.
 
 Fault injection always takes the exact-replay path: fault streams are
 consumed per-line inside the event loop and are not worth speculating.
@@ -61,7 +63,12 @@ from .native import (
     TimelineParams,
     load_timeline,
 )
-from .policy import SchemePolicy
+from .policy import (
+    VERIFY_HYBRID,
+    VERIFY_UNCORR_DET,
+    SchemePolicy,
+    SpeculationPlan,
+)
 from .stats import RunStats
 
 __all__ = ["try_simulate_speculative", "speculation_plan", "last_attempt"]
@@ -98,95 +105,30 @@ _DET = DETECTABLE_ERRORS
 _ECAT_NAMES = ("read", "write", "scrub_read", "scrub_write")
 _WCAT_NAMES = ("demand", "scrub")
 
-# Verification modes: how pass-2 outcomes map onto counters, and which
-# outcomes falsify the speculated timeline.
-_VERIFY_NONE = 0  # no sampling at all
-_VERIFY_HYBRID = 1  # CORR < e <= DET would convert the read mode: abort
-_VERIFY_UNCORR_DET = 2  # counters only: uncorr in (CORR, DET], silent > DET
-_VERIFY_UNCORR_CORR = 3  # counters only: uncorr > CORR
+
+def _defining_class(policy: SchemePolicy, attr: str) -> Optional[type]:
+    for cls in type(policy).__mro__:
+        if attr in cls.__dict__:
+            return cls
+    return None
 
 
-class _Plan:
-    """Constant decisions + verification rule for one eligible policy."""
-
-    __slots__ = (
-        "mode_str",
-        "use_age",
-        "use_spa",
-        "sample_metric",
-        "verify",
-        "write_cells",
-        "scrub_metric",
-        "set_survived",
-    )
-
-    def __init__(
-        self,
-        mode_str: str,
-        use_age: bool,
-        use_spa: bool,
-        sample_metric: Optional[str],
-        verify: int,
-        write_cells: int,
-        scrub_metric: Optional[str],
-        set_survived: bool = False,
-    ) -> None:
-        self.mode_str = mode_str
-        self.use_age = use_age
-        self.use_spa = use_spa
-        self.sample_metric = sample_metric
-        self.verify = verify
-        self.write_cells = write_cells
-        self.scrub_metric = scrub_metric
-        self.set_survived = set_survived
-
-
-def speculation_plan(policy: SchemePolicy) -> Optional[_Plan]:
+def speculation_plan(policy: SchemePolicy) -> Optional[SpeculationPlan]:
     """The speculative execution plan for ``policy``, or ``None``.
 
-    Dispatch is on the exact type, like the batch kernel compiler:
-    subclasses may override any hook and must take the exact paths.
+    A plan describes the kernels it was stated next to: a subclass that
+    replaces ``kernels()`` without restating ``speculation_plan()`` takes
+    the exact paths.
     """
-    from ..baselines.tlc import TlcPolicy
-    from ..core.policies.base import IdealPolicy
-    from ..core.policies.hybrid import HybridPolicy
-    from ..core.policies.mmetric import MMetricPolicy
-    from ..core.policies.scrubbing import ScrubbingPolicy
-
-    kind = type(policy)
+    owner = _defining_class(policy, "speculation_plan")
+    if owner is None or owner is not _defining_class(policy, "kernels"):
+        return None
+    plan = policy.speculation_plan()
+    if plan is None:
+        return None
     interval = policy.scrub_interval_s
     scrub_on = interval is not None and interval > 0
-
-    if kind is IdealPolicy:
-        if scrub_on:
-            return None
-        return _Plan("R", False, False, None, _VERIFY_NONE, policy.full_cells, None)
-    if kind is TlcPolicy:
-        if scrub_on:
-            return None
-        return _Plan("R", False, False, None, _VERIFY_NONE, policy._write_cells, None)
-    if kind is HybridPolicy:
-        if not scrub_on:
-            return None
-        return _Plan("R", True, True, "R", _VERIFY_HYBRID, policy.full_cells, "M")
-    if kind is ScrubbingPolicy and policy.w == 0:
-        if not scrub_on:
-            return None
-        return _Plan(
-            "R",
-            True,
-            True,
-            "R",
-            _VERIFY_UNCORR_DET,
-            policy.full_cells,
-            "R",
-            set_survived=True,
-        )
-    if kind is MMetricPolicy:
-        if scrub_on:
-            return None
-        return _Plan("M", True, False, "M", _VERIFY_UNCORR_CORR, policy.full_cells, None)
-    return None
+    return plan if (plan.scrub_metric is not None) == scrub_on else None
 
 
 # ------------------------------------------------------------------ births
@@ -232,7 +174,7 @@ def _birth_times(policy: SchemePolicy, lines: np.ndarray) -> np.ndarray:
 
 def _interp_probs(tables: Any, metric: str, ages: np.ndarray) -> np.ndarray:
     """Vectorized sampler probability lookup, bit-equal to the scalar
-    bisect-lerp in ``batch._sampler_fns`` (and to ``np.interp``)."""
+    bisect-lerp in ``DriftErrorSampler.sample_fns`` (and to ``np.interp``)."""
     xs = tables.log_grid
     ptab = tables.p_r if metric == "R" else tables.p_m
     slope = np.asarray(tables.slope_r if metric == "R" else tables.slope_m)
@@ -259,7 +201,7 @@ def _interp_probs(tables: Any, metric: str, ages: np.ndarray) -> np.ndarray:
 
 
 def _sample_and_verify(
-    policy: SchemePolicy, plan: _Plan, ages: np.ndarray
+    policy: SchemePolicy, plan: SpeculationPlan, ages: np.ndarray
 ) -> Optional[Tuple[int, int]]:
     """Draw pass-2 errors; returns ``(silent, uncorrectable)`` or ``None``
     when a draw falsifies the speculated timeline (RNG state restored)."""
@@ -276,18 +218,16 @@ def _sample_and_verify(
         errors[need] = generator.binomial(sampler.cells, p[need])
         # Regime codes: 0 corrected, 1 detected-uncorrectable, 2 silent.
         codes = classify_error_counts(errors, _CORR, _DET)
-        if plan.verify == _VERIFY_HYBRID and bool(np.any(codes == 1)):
+        if plan.verify == VERIFY_HYBRID and bool(np.any(codes == 1)):
             generator.bit_generator.state = saved_state
             return None
-    if plan.verify == _VERIFY_HYBRID:
+    if plan.verify == VERIFY_HYBRID:
         return (int(np.count_nonzero(codes == 2)), 0)
-    if plan.verify == _VERIFY_UNCORR_DET:
+    if plan.verify == VERIFY_UNCORR_DET:
         return (
             int(np.count_nonzero(codes == 2)),
             int(np.count_nonzero(codes == 1)),
         )
-    if plan.verify == _VERIFY_UNCORR_CORR:
-        return (0, int(np.count_nonzero(codes >= 1)))
     return (0, 0)
 
 
@@ -587,8 +527,8 @@ def _attempt(
     if out.n_rep:
         rep_l = rep_lines[: out.n_rep].tolist()
         rep_t = rep_times[: out.n_rep].tolist()
-        if plan.set_survived:
-            survived = policy._survived
+        survived = plan.survived
+        if survived is not None:
             for line, when, kind in zip(rep_l, rep_t, rep_kind[: out.n_rep].tolist()):
                 lw[line] = when
                 if kind == 0:

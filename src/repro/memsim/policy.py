@@ -1,22 +1,55 @@
-"""The scheme-policy interface between the simulator and ReadDuo schemes.
+"""The scheme-policy interface between the simulators and ReadDuo schemes.
 
-The event-driven engine (:mod:`repro.memsim.engine`) is scheme-agnostic:
-whenever a demand read, demand write, or scrub operation reaches a bank it
-asks the installed :class:`SchemePolicy` what physically happens — which
-sensing mode services the read, whether a write is full-line or
-differential, whether a scrub rewrites the line. Policies own all
-drift-related state (last-write times, LWT flags, adaptive conversion
-throttle) and perform the probabilistic error sampling; the engine only
-turns decisions into latencies, energy, and wear.
+Both engines are scheme-agnostic: whenever a demand read, demand write,
+or scrub operation reaches a bank they ask the installed policy what
+physically happens — which sensing mode services the read, how many
+cells a write programs, whether a scrub rewrites the line. Policies own
+all drift-related state (last-write times, LWT flags, adaptive
+conversion throttle) and perform the probabilistic error sampling; the
+engines only turn decisions into latencies, energy, and wear.
+
+A decision has two spellings over one implementation. The batch engine
+(:mod:`repro.memsim.batch`) consumes *kernels*, a bundle of four
+closures returning plain tuples::
+
+    (on_read, on_write, on_conversion_write, on_scrub)
+    on_read(line, now_s)  -> (mode, errors, convert, silent, uncorrectable, flag)
+    on_write(line, now_s) -> (cells_written, flag_update, latency_scale)
+    on_scrub(line, now_s) -> (metric, rewrite, cells_written, errors_seen)
+
+``mode`` is one of :data:`MODE_R`/:data:`MODE_M`/:data:`MODE_RM` and
+``on_scrub`` is ``None`` for schemes without scrubbing. The event engine
+(:mod:`repro.memsim.engine`) calls the :class:`SchemePolicy` hooks, which
+return the frozen decision objects below. Scheme families derive from
+:class:`repro.core.policies.base.BaseDriftPolicy`, write only
+``kernels()``, and inherit the hooks as adapters over those tuples; an
+object that implements only the hooks (a wrapper, a scripted test
+policy) still runs on both engines.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
-from typing import Optional, Protocol, runtime_checkable
+from typing import Callable, Dict, Optional, Protocol, Tuple, runtime_checkable
 
-__all__ = ["ReadMode", "ReadDecision", "WriteDecision", "ScrubDecision", "SchemePolicy"]
+__all__ = [
+    "ReadMode",
+    "ReadDecision",
+    "WriteDecision",
+    "ScrubDecision",
+    "SchemePolicy",
+    "Kernels",
+    "MODE_R",
+    "MODE_M",
+    "MODE_RM",
+    "MODE_STR",
+    "READ_MODES",
+    "VERIFY_NONE",
+    "VERIFY_HYBRID",
+    "VERIFY_UNCORR_DET",
+    "SpeculationPlan",
+]
 
 
 class ReadMode(enum.Enum):
@@ -28,6 +61,22 @@ class ReadMode(enum.Enum):
     M = "M"
     #: Failed R-sensing followed by M-sensing (600 ns).
     RM = "RM"
+
+
+#: Read modes as small ints inside kernel tuples.
+MODE_R = 0
+MODE_M = 1
+MODE_RM = 2
+MODE_STR = ("R", "M", "RM")
+READ_MODES = (ReadMode.R, ReadMode.M, ReadMode.RM)
+
+#: The four kernel closures of one policy instance (see module docstring).
+Kernels = Tuple[
+    Callable[[int, float], tuple],
+    Callable[[int, float], tuple],
+    Callable[[int, float], tuple],
+    Optional[Callable[[int, float], tuple]],
+]
 
 
 @dataclass(frozen=True)
@@ -58,9 +107,8 @@ class WriteDecision:
     """What happens when a line is written by the processor.
 
     Attributes:
-        cells_written: MLC cells actually programmed.
-        full_line: Whether this was a full-line write (False =
-            selective/differential write).
+        cells_written: MLC cells actually programmed (fewer than a full
+            line for a selective/differential write).
         flag_update: An SLC tracking-flag update accompanied the write.
         latency_scale: Multiplier on the platform write latency — how
             write truncation [11] (stopping P&V once the slowest cells
@@ -69,7 +117,6 @@ class WriteDecision:
     """
 
     cells_written: int
-    full_line: bool = True
     flag_update: bool = False
     latency_scale: float = 1.0
 
@@ -93,11 +140,12 @@ class ScrubDecision:
 
 @runtime_checkable
 class SchemePolicy(Protocol):
-    """Behaviour contract a drift-mitigation scheme exposes to the engine.
+    """Behaviour contract a drift-mitigation scheme exposes to the engines.
 
-    Implementations live in :mod:`repro.core.schemes` (ReadDuo variants and
-    baselines). All times are absolute simulation seconds; the engine's
-    epoch is far from zero so steady-state ages can predate the run.
+    Scheme families live in :mod:`repro.core.policies` (ReadDuo variants
+    and baselines) and :mod:`repro.baselines`. All times are absolute
+    simulation seconds; the engine's epoch is far from zero so
+    steady-state ages can predate the run.
     """
 
     #: Scheme label used in reports.
@@ -121,3 +169,47 @@ class SchemePolicy(Protocol):
     def on_scrub(self, line: int, now_s: float) -> ScrubDecision:
         """Decide the outcome of a scrub visit to ``line``."""
         ...
+
+
+# Speculation verification rules: how the fast path's vectorized error
+# draws map onto counters, and which draws falsify the speculated timeline.
+#: No sampling at all (reads are constant).
+VERIFY_NONE = 0
+#: CORR < errors <= DET would turn the read into an R-M-read: abort.
+VERIFY_HYBRID = 1
+#: Counters only: uncorrectable in (CORR, DET], silent beyond DET.
+VERIFY_UNCORR_DET = 2
+
+
+@dataclass(frozen=True, eq=False)
+class SpeculationPlan:
+    """When a policy's kernels reduce to constants the fast path can replay.
+
+    :mod:`repro.memsim.fastpath` runs the queueing timeline in C assuming
+    every read takes ``mode_str`` and every write and scrub returns a
+    constant decision, then samples the read errors as vectors and checks
+    them against ``verify``. A policy offers a plan only when that
+    describes its kernels exactly.
+
+    Attributes:
+        mode_str: Sensing mode every demand read is predicted to take.
+        use_age: Reads sample errors at the line's age (since last write).
+        use_spa: That age is capped by the time since the scrub sweep's
+            last pass over the line (W=0 scrubbing rewrites every line).
+        sample_metric: Sampler metric of read errors; None = no sampling.
+        verify: One of the ``VERIFY_*`` rules.
+        write_cells: Cells programmed by every demand write.
+        scrub_metric: Scrub sensing metric; None iff the scheme never
+            scrubs.
+        survived: Per-line renewal counts that a demand write resets to
+            zero when the speculated run is committed, or None.
+    """
+
+    mode_str: str
+    use_age: bool
+    use_spa: bool
+    sample_metric: Optional[str]
+    verify: int
+    write_cells: int
+    scrub_metric: Optional[str]
+    survived: Optional[Dict[int, int]] = None

@@ -26,22 +26,8 @@ class TestTlcPolicy:
 
     def test_write_charges_tri_level_cells(self, tlc):
         decision = tlc.on_write(1, DEFAULT_EPOCH_S + 1.0)
-        assert decision.full_line
+        assert not decision.flag_update
         # 384 tri-level cells at the configured write efficiency.
         assert decision.cells_written == round(
             tlc_line_budget().total_cells * 0.75
         )
-
-    def test_write_efficiency_validated(self, small_profile, small_config):
-        ctx = PolicyContext(profile=small_profile, config=small_config)
-        with pytest.raises(ValueError):
-            TlcPolicy(ctx, write_efficiency=0.0)
-        with pytest.raises(ValueError):
-            TlcPolicy(ctx, write_efficiency=1.5)
-
-    def test_denser_write_efficiency_changes_cells(
-        self, small_profile, small_config
-    ):
-        ctx = PolicyContext(profile=small_profile, config=small_config)
-        full = TlcPolicy(ctx, write_efficiency=1.0)
-        assert full.on_write(0, DEFAULT_EPOCH_S).cells_written == 384

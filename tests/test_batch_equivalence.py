@@ -65,6 +65,21 @@ def test_batch_equals_event_per_scheme(scheme, trace_and_config):
     assert batch == event
 
 
+def test_batch_equals_event_precise_write(trace_and_config):
+    """The precise-write baseline (run by ``run all`` outside the registry)
+    inherits Scrubbing's kernels, and with them the batch path."""
+    from repro.baselines.precise import PreciseWritePolicy
+
+    trace, config, profile = trace_and_config
+
+    def fresh():
+        return PreciseWritePolicy(PolicyContext(profile=profile, config=config, seed=SEED))
+
+    batch = simulate(trace, fresh(), config, engine="batch")
+    event = simulate(trace, fresh(), config, engine="event")
+    assert batch.to_dict() == event.to_dict()
+
+
 @pytest.mark.parametrize("scheme", ["Hybrid", "Scrubbing", "M-metric", "Ideal"])
 def test_batch_equals_event_with_faults(scheme, trace_and_config):
     """Nonzero fault density: schedules apply identically under batching."""

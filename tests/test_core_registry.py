@@ -209,6 +209,79 @@ class TestPluginScheme:
         finally:
             clear_sweep_cache()
 
+    def test_kernels_only_family_runs_its_kernels_in_batch(
+        self, small_profile, small_config, monkeypatch
+    ):
+        """A family written as one kernels() method gets the batch engine's
+        kernel path (not the hook-driven one) and matches the event oracle,
+        with no edits to repro.memsim."""
+        from repro.core.policies import BaseDriftPolicy
+        from repro.memsim import batch
+        from repro.memsim.engine import simulate
+        from repro.memsim.policy import MODE_R, MODE_RM
+        from repro.traces.generator import generate_trace
+
+        calls = {"kernels": 0, "read": 0, "scrub": 0}
+
+        @register_scheme("KernelOnlyTest")
+        class KernelOnlyPolicy(BaseDriftPolicy):
+            """R-reads retried in M above 2 errors; a W=1 R-scrub sweep fast
+            enough for a short trace to see it."""
+
+            name = "KernelOnlyTest"
+            scrub_interval_s = 1e-3
+
+            def kernels(self):
+                calls["kernels"] += 1
+                last_write_of = self._last_write_fn()
+                sample_r, _ = self.sampler.sample_fns()
+                lw = self.last_write_s
+                full_cells = self.full_cells
+
+                def on_read(line, now_s):
+                    calls["read"] += 1
+                    errors = sample_r(max(now_s - last_write_of(line), 0.0))
+                    mode = MODE_R if errors <= 2 else MODE_RM
+                    return (mode, errors, False, False, False, False)
+
+                def on_scrub(line, now_s):
+                    calls["scrub"] += 1
+                    errors = sample_r(max(now_s - last_write_of(line), 0.0))
+                    if errors:
+                        lw[line] = now_s
+                        return ("R", True, full_cells, errors)
+                    return ("R", False, 0, 0)
+
+                write = self._write_kernel()
+                return on_read, write, write, on_scrub
+
+        def no_generic(policy):
+            raise AssertionError("kernels-only family took the hook path")
+
+        trace = generate_trace(
+            small_profile,
+            instructions_per_core=20_000,
+            num_cores=small_config.num_cores,
+            seed=5,
+        )
+        try:
+            runs = {}
+            for engine in ("batch", "event"):
+                with monkeypatch.context() as patch:
+                    patch.setattr(batch, "_generic_kernels", no_generic)
+                    policy = make_policy(
+                        "KernelOnlyTest",
+                        PolicyContext(profile=small_profile, config=small_config),
+                    )
+                    runs[engine] = simulate(trace, policy, small_config, engine=engine)
+                    if engine == "batch":
+                        assert calls["kernels"] == 1 and calls["read"] > 0
+        finally:
+            assert unregister_scheme("KernelOnlyTest")
+        assert calls["scrub"] > 0
+        assert runs["batch"].to_dict() == runs["event"].to_dict()
+        assert runs["batch"].reads_by_mode.get("RM", 0) > 0
+
     def test_unregister_restores_unknown(self):
         assert not is_scheme_name("DummyTest")
         assert not unregister_scheme("DummyTest")

@@ -14,8 +14,9 @@ from repro.core.schemes import (
     SelectPolicy,
     make_policy,
 )
+from repro.core.policies.base import classify_r_read
 from repro.memsim.config import DEFAULT_EPOCH_S, MemoryConfig
-from repro.memsim.policy import ReadMode
+from repro.memsim.policy import MODE_R, MODE_RM, ReadMode
 
 
 @pytest.fixture
@@ -62,7 +63,7 @@ class TestIdeal:
     def test_write_full_line(self, ctx):
         policy = IdealPolicy(ctx)
         decision = policy.on_write(1, EPOCH + 1.0)
-        assert decision.full_line
+        assert not decision.flag_update
         assert decision.cells_written == ctx.config.cells_per_line_write
 
 
@@ -112,7 +113,7 @@ class TestMMetric:
 
     def test_scrub_rarely_rewrites_fresh_lines(self, ctx):
         policy = MMetricPolicy(ctx)
-        policy.record_write(1, EPOCH)
+        policy.last_write_s[1] = EPOCH
         decision = policy.on_scrub(1, EPOCH + 640.0)
         assert not decision.rewrite  # M errors at 640 s are ~1e-5/line
 
@@ -120,27 +121,29 @@ class TestMMetric:
 class TestHybrid:
     def test_recent_line_r_read(self, ctx):
         policy = HybridPolicy(ctx)
-        policy.record_write(1, EPOCH)
+        policy.last_write_s[1] = EPOCH
         decision = policy.on_read(1, EPOCH + 1.0)
         assert decision.mode is ReadMode.R
 
     def test_scrub_bound_keeps_age_within_interval(self, ctx):
         policy = HybridPolicy(ctx)
-        # A line never written in the run: age is bounded by the W=0 sweep.
-        age = policy._effective_age(123, EPOCH + 1.0)
-        assert age <= policy.scrub_interval_s
+        # Lines never written in the run are ~1e6 s old (~17 expected R
+        # errors), but the W=0 sweep bounds their age by the interval.
+        cold = ctx.profile.footprint_lines
+        errors = [policy.on_read(cold + i, EPOCH + 1.0).errors_seen for i in range(200)]
+        assert max(errors) <= 17
+        assert sum(errors) / len(errors) < 4.0  # ~2 expected at 640 s
 
     def test_scrub_always_rewrites(self, ctx):
         policy = HybridPolicy(ctx)
         assert policy.on_scrub(9, EPOCH + 1.0).rewrite
 
     def test_classification_boundaries(self, ctx):
-        policy = HybridPolicy(ctx)
-        assert policy._classify_r_read(8).mode is ReadMode.R
-        assert policy._classify_r_read(9).mode is ReadMode.RM
-        assert policy._classify_r_read(17).mode is ReadMode.RM
-        beyond = policy._classify_r_read(18)
-        assert beyond.mode is ReadMode.R and beyond.silent_corruption
+        assert classify_r_read(8, False)[0] == MODE_R
+        assert classify_r_read(9, False)[0] == MODE_RM
+        assert classify_r_read(17, False)[0] == MODE_RM
+        mode, _, _, silent, _, _ = classify_r_read(18, False)
+        assert mode == MODE_R and silent
 
 
 class TestLwt:
@@ -197,7 +200,7 @@ class TestSelect:
         policy = SelectPolicy(ctx, k=4, s=2)
         policy.on_write(1, EPOCH)  # the line's first write is... checked below
         first = policy.on_write(1, EPOCH + 1.0)
-        assert not first.full_line
+        assert not first.flag_update
         assert first.cells_written < ctx.config.cells_per_line_write
         assert first.cells_written >= policy._check_cells
 
@@ -205,7 +208,8 @@ class TestSelect:
         policy = SelectPolicy(ctx, k=4, s=1)
         cold_line = ctx.profile.footprint_lines + 9
         decision = policy.on_write(cold_line, EPOCH)
-        assert decision.full_line
+        assert decision.flag_update
+        assert decision.cells_written == ctx.config.cells_per_line_write
 
     def test_differential_does_not_update_tracking(self, ctx):
         policy = SelectPolicy(ctx, k=4, s=2)
@@ -217,14 +221,15 @@ class TestSelect:
     def test_conversion_is_full_write(self, ctx):
         policy = SelectPolicy(ctx, k=4, s=2)
         decision = policy.on_conversion_write(77, EPOCH)
-        assert decision.full_line
+        assert decision.flag_update
+        assert decision.cells_written == ctx.config.cells_per_line_write
 
     def test_s2_more_differential_than_s1(self, ctx):
         results = {}
         for s in (1, 2):
             policy = SelectPolicy(ctx, k=4, s=s)
             diff = sum(
-                not policy.on_write(line, EPOCH).full_line
+                not policy.on_write(line, EPOCH).flag_update
                 for line in range(500)
             )
             results[s] = diff
@@ -238,21 +243,24 @@ class TestSelect:
 class TestAgeHelpers:
     def test_scrub_pass_age_within_interval(self, ctx):
         policy = HybridPolicy(ctx)
+        scrub_pass_age = policy._scrub_pass_age_fn()
         for line in (0, 100, ctx.config.total_lines - 1):
             for dt in (0.0, 1.0, 300.0, 639.0):
-                age = policy.scrub_pass_age(line, EPOCH + dt)
+                age = scrub_pass_age(line, EPOCH + dt)
                 assert 0.0 <= age <= policy.scrub_interval_s + 1e-6
 
     def test_no_scrub_means_infinite_age(self, ctx):
         policy = IdealPolicy(ctx)
-        assert policy.scrub_pass_age(0, EPOCH) == float("inf")
+        assert policy._scrub_pass_age_fn()(0, EPOCH) == float("inf")
 
     def test_last_write_uses_initial_age(self, ctx):
         policy = IdealPolicy(ctx)
-        age = policy.age_of(5, EPOCH)
+        age = EPOCH - policy._last_write_fn()(5)
         assert age == pytest.approx(policy.ages.age_of(5))
 
     def test_record_write_overrides_initial_age(self, ctx):
         policy = IdealPolicy(ctx)
-        policy.record_write(5, EPOCH + 10.0)
-        assert policy.age_of(5, EPOCH + 15.0) == pytest.approx(5.0)
+        last_write_of = policy._last_write_fn()
+        last_write_of(5)  # memoizes the initial age
+        policy.last_write_s[5] = EPOCH + 10.0
+        assert EPOCH + 15.0 - last_write_of(5) == pytest.approx(5.0)

@@ -44,7 +44,7 @@ class TestWrapper:
         full_scales, diff_scales = [], []
         for line in range(300):
             decision = wrapped.on_write(line, epoch)
-            (full_scales if decision.full_line else diff_scales).append(
+            (full_scales if decision.flag_update else diff_scales).append(
                 decision.latency_scale
             )
         if full_scales and diff_scales:

@@ -38,10 +38,10 @@ class ScriptedPolicy:
 
     def on_write(self, line, now_s):
         self.writes.append((line, now_s))
-        return WriteDecision(cells_written=296, full_line=True)
+        return WriteDecision(cells_written=296)
 
     def on_conversion_write(self, line, now_s):
-        return WriteDecision(cells_written=296, full_line=True)
+        return WriteDecision(cells_written=296)
 
     def on_scrub(self, line, now_s):
         self.scrubs.append(line)

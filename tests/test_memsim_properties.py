@@ -27,10 +27,10 @@ class _CountingPolicy:
 
     def on_write(self, line, now_s):
         self.write_calls += 1
-        return WriteDecision(cells_written=296, full_line=True)
+        return WriteDecision(cells_written=296)
 
     def on_conversion_write(self, line, now_s):
-        return WriteDecision(cells_written=296, full_line=True)
+        return WriteDecision(cells_written=296)
 
     def on_scrub(self, line, now_s):
         raise AssertionError("no scrubbing configured")
