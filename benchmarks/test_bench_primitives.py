@@ -46,6 +46,25 @@ def test_bch_decode_eight_errors(benchmark, line_code):
     assert result.ok
 
 
+def _corrupted_line(line_code, errors):
+    rng = np.random.default_rng(0)
+    codeword = line_code.encode(rng.integers(0, 2, 512).astype(np.uint8))
+    codeword[rng.choice(line_code.n, errors, replace=False)] ^= 1
+    return codeword
+
+
+def test_bch_decode_seventeen_errors(benchmark, line_code):
+    # Degree-8 locator with no root in the field: a full Chien scan.
+    result = benchmark(line_code.decode, _corrupted_line(line_code, 17))
+    assert not result.ok
+
+
+def test_bch_decode_twenty_four_errors(benchmark, line_code):
+    # Degree-8 locator whose roots include one past the shortened length.
+    result = benchmark(line_code.decode, _corrupted_line(line_code, 24))
+    assert not result.ok
+
+
 def test_ler_table_sweep(benchmark):
     benchmark(
         ler_table,

@@ -11,7 +11,22 @@ M-sensing (Section III-B).
 
 Bit convention: bit ``i`` of a codeword is the coefficient of ``x^i``.
 Systematic layout: check bits occupy positions ``0 .. r-1``, data bits
-``r .. r+k-1``.
+``r .. r+k-1``. Words are arrays of 0/1 values; anything else is rejected.
+
+Each code builds three tables once, at construction, and every encode or
+decode is a few numpy operations over them:
+
+* ``(k, r)`` parity matrix — row ``i`` holds the bits of
+  ``x^(r+i) mod g(x)``, so the check bits are the GF(2) sum of the rows
+  selected by the data bits;
+* ``(2t, n)`` syndrome table — entry ``[j-1, i] = alpha^(i*j)``, so
+  ``S_j`` is the XOR of the columns at the received word's set positions
+  (and a correction's re-verify XORs the flipped columns into them);
+* ``(t+1, 2^m-1)`` Chien table — entry ``[d, i] = log(alpha^(-i*d))``, so
+  sigma is evaluated at every nonzero field point at once by adding the
+  coefficient logs and gathering from the field's exp table.
+
+Berlekamp–Massey stays scalar: it runs on ``2t`` syndromes only.
 """
 
 from __future__ import annotations
@@ -58,33 +73,14 @@ class DecodeResult:
         return self.status is DecodeStatus.CORRECTED
 
 
-def _bits_to_int(bits: np.ndarray) -> int:
-    """Pack a little-endian bit array (bit i = x^i coefficient) into an int."""
-    value = 0
-    for i in np.nonzero(np.asarray(bits, dtype=np.uint8))[0]:
-        value |= 1 << int(i)
-    return value
-
-
-def _int_to_bits(value: int, length: int) -> np.ndarray:
-    out = np.zeros(length, dtype=np.uint8)
-    i = 0
-    while value and i < length:
-        if value & 1:
-            out[i] = 1
-        value >>= 1
-        i += 1
-    return out
-
-
-def _poly_mod(dividend: int, divisor: int) -> int:
-    """Remainder of GF(2) polynomial division on integer bit masks."""
-    deg_divisor = divisor.bit_length() - 1
-    deg = dividend.bit_length() - 1
-    while deg >= deg_divisor and dividend:
-        dividend ^= divisor << (deg - deg_divisor)
-        deg = dividend.bit_length() - 1
-    return dividend
+def _as_bits(word: np.ndarray, length: int, what: str) -> np.ndarray:
+    """``word`` as a fresh uint8 array, checked to be ``length`` 0/1 values."""
+    arr = np.asarray(word)
+    if arr.shape != (length,):
+        raise ValueError(f"expected {length} {what} bits, got shape {arr.shape}")
+    if ((arr != 0) & (arr != 1)).any():
+        raise ValueError(f"{what} bits must be 0 or 1")
+    return arr.astype(np.uint8)
 
 
 class BCHCode:
@@ -130,6 +126,11 @@ class BCHCode:
             raise ValueError(
                 f"payload too large: need {self.n} bits, field allows {self.n_full}"
             )
+        self._parity = self._parity_matrix()
+        order = self.field.order
+        powers = np.arange(1, 2 * t + 1)[:, None] * np.arange(self.n)
+        self._synd_table = self.field.exp_table[powers % order]
+        self._chien_table = (-np.arange(t + 1)[:, None] * np.arange(order)) % order
 
     @staticmethod
     def _gf2_poly_mul(a: int, b: int) -> int:
@@ -142,6 +143,21 @@ class BCHCode:
             shift += 1
         return out
 
+    def _parity_matrix(self) -> np.ndarray:
+        """``(k, r)`` GF(2) matrix whose row ``i`` is ``x^(r+i) mod g``."""
+        top = 1 << self.r
+        remainder = self.generator ^ top  # x^r mod g
+        rows = []
+        for _ in range(self.k):
+            rows.append(remainder)
+            remainder <<= 1
+            if remainder & top:
+                remainder ^= self.generator
+        width = (self.r + 7) // 8
+        packed = b"".join(row.to_bytes(width, "little") for row in rows)
+        bits = np.unpackbits(np.frombuffer(packed, dtype=np.uint8), bitorder="little")
+        return bits.reshape(self.k, 8 * width)[:, : self.r].copy()
+
     # ---------------------------------------------------------------- encode
 
     def encode(self, data: np.ndarray) -> np.ndarray:
@@ -153,13 +169,9 @@ class BCHCode:
         Returns:
             Codeword bit array: ``[check bits (r)] + [data bits (k)]``.
         """
-        bits = np.asarray(data).astype(np.uint8)
-        if bits.shape != (self.k,):
-            raise ValueError(f"expected {self.k} data bits, got {bits.shape}")
-        data_int = _bits_to_int(bits)
-        remainder = _poly_mod(data_int << self.r, self.generator)
-        codeword = (data_int << self.r) | remainder
-        return _int_to_bits(codeword, self.n)
+        bits = _as_bits(data, self.k, "data")
+        check = np.bitwise_xor.reduce(self._parity[bits.view(bool)], axis=0)
+        return np.concatenate((check, bits))
 
     def extract_data(self, codeword: np.ndarray) -> np.ndarray:
         """The data payload of a (possibly corrected) codeword."""
@@ -172,18 +184,12 @@ class BCHCode:
 
     def syndromes(self, received: np.ndarray) -> List[int]:
         """Syndromes ``S_j = r(alpha^j)`` for ``j = 1 .. 2t``."""
-        cw = np.asarray(received).astype(np.uint8)
-        if cw.shape != (self.n,):
-            raise ValueError(f"expected {self.n} codeword bits")
-        positions = np.nonzero(cw)[0]
-        field = self.field
-        out = []
-        for j in range(1, 2 * self.t + 1):
-            s = 0
-            for i in positions:
-                s ^= field.exp(int(i) * j)
-            out.append(s)
-        return out
+        word = _as_bits(received, self.n, "codeword")
+        return self._syndromes_at(np.flatnonzero(word)).tolist()
+
+    def _syndromes_at(self, positions: np.ndarray) -> np.ndarray:
+        """XOR of the syndrome-table columns at ``positions``."""
+        return np.bitwise_xor.reduce(self._synd_table[:, positions], axis=1)
 
     def count_detected_errors(self, received: np.ndarray) -> int:
         """Best-effort error count used by the ReadDuo readout controller.
@@ -200,12 +206,12 @@ class BCHCode:
 
     def decode(self, received: np.ndarray) -> DecodeResult:
         """Full decode: syndromes -> Berlekamp–Massey -> Chien search."""
-        synd = self.syndromes(received)
-        if not any(synd):
-            data = self.extract_data(received)
-            return DecodeResult(DecodeStatus.CORRECTED, data, 0)
+        word = _as_bits(received, self.n, "codeword")
+        synd = self._syndromes_at(np.flatnonzero(word))
+        if not synd.any():
+            return DecodeResult(DecodeStatus.CORRECTED, self.extract_data(word), 0)
 
-        sigma = self._berlekamp_massey(synd)
+        sigma = self._berlekamp_massey(synd.tolist())
         degree = len(sigma) - 1
         if degree > self.t:
             return DecodeResult(DecodeStatus.DETECTED_UNCORRECTABLE, None, 0)
@@ -213,19 +219,17 @@ class BCHCode:
         positions = self._chien_search(sigma)
         if positions is None or len(positions) != degree:
             return DecodeResult(DecodeStatus.DETECTED_UNCORRECTABLE, None, 0)
-
-        corrected = np.asarray(received).astype(np.uint8).copy()
-        for pos in positions:
-            corrected[pos] ^= 1
         # Re-verify: a miscorrection beyond design distance could leave a
-        # nonzero syndrome; treat that as detected.
-        if any(self.syndromes(corrected)):
+        # nonzero syndrome; treat that as detected. Flipping the positions
+        # XORs their columns into the syndromes, so they must cancel.
+        if (self._syndromes_at(positions) != synd).any():
             return DecodeResult(DecodeStatus.DETECTED_UNCORRECTABLE, None, 0)
+        word[positions] ^= 1
         return DecodeResult(
             DecodeStatus.CORRECTED,
-            self.extract_data(corrected),
+            self.extract_data(word),
             len(positions),
-            tuple(sorted(int(p) for p in positions)),
+            tuple(positions),
         )
 
     def _berlekamp_massey(self, synd: List[int]) -> List[int]:
@@ -267,22 +271,21 @@ class BCHCode:
         """Roots of sigma(x) as error positions within the shortened word.
 
         An error at position ``i`` contributes locator ``X = alpha^i``; a
-        root of sigma at ``x = X^-1 = alpha^(order - i)``. Returns ``None``
-        when any root points outside the shortened length (the error
-        pattern cannot come from <= t errors in the transmitted word).
+        root of sigma at ``x = X^-1 = alpha^(order - i)``. sigma is
+        evaluated at every nonzero field point at once; its roots come back
+        in ascending position order (fewer than its degree when some roots
+        lie outside the field). Returns ``None`` when any root points
+        outside the shortened length (the error pattern cannot come from
+        <= t errors in the transmitted word). sigma must have degree <= t.
         """
-        field = self.field
-        positions: List[int] = []
-        degree = len(sigma) - 1
-        for i in range(self.n_full):
-            x = field.exp(field.order - i if i else 0)
-            if field.poly_eval(sigma, x) == 0:
-                if i >= self.n:
-                    return None
-                positions.append(i)
-                if len(positions) == degree:
-                    break
-        return positions
+        coeffs = np.asarray(sigma)
+        terms = np.flatnonzero(coeffs)
+        logs = self.field.log_table[coeffs[terms]]
+        values = self.field.exp_table[logs[:, None] + self._chien_table[terms]]
+        roots = np.flatnonzero(np.bitwise_xor.reduce(values, axis=0) == 0)
+        if roots.size and roots[-1] >= self.n:
+            return None
+        return roots.tolist()
 
 
 def bch8_for_line(data_bits: int = 512) -> BCHCode:

@@ -3,15 +3,18 @@
 Field elements are represented as integers 0 .. 2^m - 1 whose bits are the
 coefficients of a polynomial over GF(2), reduced modulo a primitive
 polynomial. Multiplication/division go through exp/log tables built once
-per field; the tables make syndrome evaluation and Chien search fast
-enough in pure Python for the line sizes this project needs (m = 10,
-592-bit shortened codewords).
+per field (and shared through :func:`get_field`). Scalar arithmetic reads
+the list copies; the BCH codec's array stages (syndromes, Chien search)
+gather from the numpy copies ``exp_table`` / ``log_table``, so a decode
+does a handful of array operations instead of per-bit field calls.
 """
 
 from __future__ import annotations
 
 from functools import lru_cache
 from typing import List
+
+import numpy as np
 
 __all__ = ["GF2m", "PRIMITIVE_POLYS", "get_field"]
 
@@ -69,6 +72,11 @@ class GF2m:
         # Duplicate the exp table so products of logs need no modulo.
         for i in range(self.order, 2 * self.order):
             self._exp[i] = self._exp[i - self.order]
+        #: ``exp_table[p] = alpha ** p`` for ``0 <= p < 2 * order``, so a
+        #: sum of two logs indexes it without a modulo.
+        self.exp_table = np.array(self._exp, dtype=np.intp)
+        #: ``log_table[v]`` = discrete log of ``v``; entry 0 is meaningless.
+        self.log_table = np.array(self._log, dtype=np.intp)
 
     def exp(self, power: int) -> int:
         """``alpha ** power`` for the field generator alpha."""

@@ -179,3 +179,27 @@ class TestExtractData:
     def test_rejects_wrong_length(self, small_code):
         with pytest.raises(ValueError):
             small_code.extract_data(np.zeros(3, dtype=np.uint8))
+
+
+class TestRejectsNonBinary:
+    @pytest.mark.parametrize("value", [2, -1, 255, 0.5])
+    def test_encode(self, small_code, value):
+        data = np.zeros(small_code.k)
+        data[3] = value
+        with pytest.raises(ValueError, match="0 or 1"):
+            small_code.encode(data)
+
+    @pytest.mark.parametrize("method", ["decode", "syndromes", "count_detected_errors"])
+    @pytest.mark.parametrize("value", [2, 3, -1, 0.5])
+    def test_received_word(self, line_code, rng, method, value):
+        word = line_code.encode(rng.integers(0, 2, line_code.k)).astype(np.float64)
+        word[7] = value
+        with pytest.raises(ValueError, match="0 or 1"):
+            getattr(line_code, method)(word)
+
+    def test_bool_and_int_words_accepted(self, small_code, rng):
+        data = rng.integers(0, 2, small_code.k)
+        cw = small_code.encode(data.astype(bool))
+        assert (cw == small_code.encode(data)).all()
+        assert small_code.decode(cw.astype(np.int64)).ok
+        assert small_code.decode(cw.astype(bool)).ok
