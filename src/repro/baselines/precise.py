@@ -12,24 +12,45 @@ and does not evaluate it; this baseline makes the trade concrete:
   drift statistics — precise writes legitimately earn a much longer
   interval than 8 s.
 
+The scheme is registered as ``Precise-<w>sigma`` (``Precise-2sigma``).
 The write-latency cost of the extra P&V iterations is a platform knob
-(``TimingParams.write_ns``); see
+(``TimingParams.write_ns`` in the spec's ``MemoryConfig``); see
 :func:`repro.experiments.extras.precise_write_comparison`.
 """
 
 from __future__ import annotations
 
+from typing import Optional
+
 from ..core.policies.base import PolicyContext
 from ..core.policies.scrubbing import ScrubbingPolicy
+from ..core.registry import NUMBER_PATTERN, register_scheme, render_number
 from ..pcm.params import R_METRIC
 from ..reliability.ler import max_safe_interval
 
-__all__ = ["PreciseWritePolicy"]
+__all__ = ["PreciseWritePolicy", "precise_scheme_name"]
 
 #: Candidate scrub intervals for the re-derived design point.
 _CANDIDATE_INTERVALS = [2.0**i for i in range(2, 22)]
 
 
+def _parse(match) -> Optional[dict]:
+    width = float(match.group("w"))
+    if not 0 < width < R_METRIC.boundary_sigma:
+        return None
+    return {"program_width_sigma": width}
+
+
+def precise_scheme_name(program_width_sigma: float) -> str:
+    """Canonical name of the precise-write scheme (the family's renderer)."""
+    return f"Precise-{render_number(program_width_sigma)}sigma"
+
+
+@register_scheme(
+    pattern=rf"Precise-(?P<w>{NUMBER_PATTERN})sigma",
+    parse=_parse,
+    canonical=lambda params: precise_scheme_name(params["program_width_sigma"]),
+)
 class PreciseWritePolicy(ScrubbingPolicy):
     """R-sensing with narrowed programming and a re-derived scrub interval.
 
@@ -62,4 +83,4 @@ class PreciseWritePolicy(ScrubbingPolicy):
         super().__init__(ctx, interval_s=interval, w=w, r_params=narrow)
         self.program_width_sigma = program_width_sigma
         self.r_params = narrow
-        self.name = f"Precise({program_width_sigma:g}sigma)"
+        self.name = precise_scheme_name(program_width_sigma)

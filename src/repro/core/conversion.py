@@ -42,6 +42,9 @@ class AdaptiveConversionController:
             on workloads it is about to fix).
         enabled: When False, no reads are ever converted (the Figure 14
             ablation).
+        frozen: When True, ``T`` stays at ``initial_t``: windows are still
+            counted but never move the ratio (the fixed-``T`` arms of the
+            conversion-throttle ablation).
     """
 
     def __init__(
@@ -54,6 +57,7 @@ class AdaptiveConversionController:
         improvement_factor: float = 2.0,
         patience: int = 3,
         enabled: bool = True,
+        frozen: bool = False,
     ) -> None:
         if not 0 <= initial_t <= 100:
             raise ValueError("initial_t must be in [0, 100]")
@@ -69,6 +73,7 @@ class AdaptiveConversionController:
         self.improvement_factor = improvement_factor
         self.patience = patience
         self.enabled = enabled
+        self.frozen = frozen
         self._window_total = 0
         self._window_untracked = 0
         self._prev_p: Optional[float] = None
@@ -93,6 +98,8 @@ class AdaptiveConversionController:
         p = self._window_untracked / self._window_total
         self._window_total = 0
         self._window_untracked = 0
+        if self.frozen:
+            return
         action = 0
         if p == 0.0:
             # No untracked traffic: nothing to tune.

@@ -26,8 +26,11 @@ from .lwt import LwtPolicy
 from .select import SelectPolicy
 
 # Imported last: TLC registers after the paper's schemes so the listing
-# order matches the figures' legend order.
+# order matches the figures' legend order. The precise-write baseline and
+# the "+trunc" write-truncation suffix register unlisted families.
 from ...baselines.tlc import TlcPolicy
+from ...baselines.precise import PreciseWritePolicy  # noqa: F401
+from ..truncation import WriteTruncationWrapper  # noqa: F401
 
 __all__ = [
     "R_SCRUB_INTERVAL_S",

@@ -2,9 +2,12 @@
 
 from __future__ import annotations
 
+import math
+from typing import Optional
+
 from ..conversion import AdaptiveConversionController
 from ..lwt import QuantizedTracker
-from ..registry import register_scheme
+from ..registry import NUMBER_PATTERN, register_scheme, render_number
 from ...memsim.policy import MODE_RM, Kernels
 from .base import (
     CORRECTABLE_ERRORS,
@@ -14,21 +17,71 @@ from .base import (
     classify_r_read,
 )
 
-__all__ = ["LwtPolicy", "CONVERSION_INITIAL_T"]
+__all__ = ["LwtPolicy", "CONVERSION_INITIAL_T", "lwt_scheme_name"]
 
 #: Starting conversion ratio ``T`` (percent) of the adaptive throttle.
 CONVERSION_INITIAL_T = 30
 
+#: Shortest scrub interval an ``@S=`` name accepts, in seconds. Every
+#: engine schedules one scrub tick per ``S / lines`` of simulated time, so
+#: a tiny S would mean billions of ticks (or none that advance the clock).
+MIN_NAMED_INTERVAL_S = 1.0
 
-@register_scheme(
-    pattern=r"LWT-(?P<k>\d+)(?P<noconv>-noconv)?",
-    parse=lambda match: {
+
+def _parse(match) -> Optional[dict]:
+    params = {
         "k": int(match.group("k")),
         "conversion_enabled": match.group("noconv") is None,
-    },
-    canonical=lambda params: "LWT-{}{}".format(
-        params["k"], "" if params.get("conversion_enabled", True) else "-noconv"
+    }
+    t = match.group("t")
+    if t is not None:
+        if int(t) > 100:
+            return None
+        if int(t) == 0:
+            # A ratio frozen at 0 never converts: that is -noconv.
+            params["conversion_enabled"] = False
+        else:
+            params["conversion_t"] = int(t)
+    interval = match.group("s")
+    if interval is not None:
+        interval_s = float(interval)
+        if not MIN_NAMED_INTERVAL_S <= interval_s < math.inf:
+            return None
+        params["interval_s"] = interval_s
+    return params
+
+
+def lwt_scheme_name(
+    k: int,
+    conversion_enabled: bool = True,
+    conversion_t: Optional[int] = None,
+    interval_s: float = M_SCRUB_INTERVAL_S,
+) -> str:
+    """Canonical name of an LWT configuration (the family's renderer).
+
+    A ratio frozen at 0 never converts, so ``conversion_t=0`` renders
+    as ``-noconv``; the paper's S=640 s renders as no ``@S=`` suffix.
+    """
+    name = f"LWT-{k}"
+    if not conversion_enabled or conversion_t == 0:
+        name += "-noconv"
+    elif conversion_t is not None:
+        name += f"-T{conversion_t}"
+    if interval_s != M_SCRUB_INTERVAL_S:
+        name += f"@S={render_number(interval_s)}"
+    return name
+
+
+# The listed syntax stays "LWT-<k>[-noconv]" (it is the family's key for
+# enumerate_family and explore space files); the pattern also accepts a
+# frozen conversion ratio "-T<pct>" and a scrub interval "@S=<seconds>".
+@register_scheme(
+    pattern=(
+        r"LWT-(?P<k>\d+)(?:(?P<noconv>-noconv)|-T(?P<t>\d{1,3}))?"
+        rf"(?:@S=(?P<s>{NUMBER_PATTERN}))?"
     ),
+    parse=_parse,
+    canonical=lambda params: lwt_scheme_name(**params),
     listed=("LWT-2", "LWT-4", "LWT-4-noconv"),
     syntax="LWT-<k>[-noconv]",
     axes=("k", "conversion_enabled"),
@@ -42,6 +95,11 @@ class LwtPolicy(BaseDriftPolicy):
     straight to R-M-read and may be *converted* into a rewrite under the
     adaptive ``T`` throttle so subsequent reads are fast. Scrubbing is
     (BCH=8, S=640 s, W=1): rewrite only on detected errors.
+
+    ``conversion_t`` freezes the throttle at a fixed ratio (``LWT-4-T100``
+    always converts) and ``interval_s`` moves the scrub interval
+    (``LWT-4@S=2560``); both exist for the conversion-throttle ablation
+    and the scrub-interval study.
     """
 
     def __init__(
@@ -50,6 +108,7 @@ class LwtPolicy(BaseDriftPolicy):
         k: int = 4,
         interval_s: float = M_SCRUB_INTERVAL_S,
         conversion_enabled: bool = True,
+        conversion_t: Optional[int] = None,
     ) -> None:
         super().__init__(ctx)
         self.k = k
@@ -57,11 +116,11 @@ class LwtPolicy(BaseDriftPolicy):
         self.tracker = QuantizedTracker(k, interval_s)
         self.conversion = AdaptiveConversionController(
             rng=self.rng,
-            initial_t=CONVERSION_INITIAL_T,
+            initial_t=CONVERSION_INITIAL_T if conversion_t is None else conversion_t,
             enabled=conversion_enabled,
+            frozen=conversion_t is not None,
         )
-        suffix = "" if conversion_enabled else "-noconv"
-        self.name = f"LWT-{k}{suffix}"
+        self.name = lwt_scheme_name(k, conversion_enabled, conversion_t, interval_s)
 
     # The tracked event is the last drift-resetting write of the line: a
     # demand write, a conversion write, or a scrub rewrite.

@@ -32,6 +32,8 @@ import re
 from dataclasses import dataclass, field
 from typing import Any, Callable, Dict, Mapping, Optional, Sequence, Tuple
 
+import numpy as np
+
 __all__ = [
     "SchemeFamily",
     "register_scheme",
@@ -43,6 +45,8 @@ __all__ = [
     "is_scheme_name",
     "canonical_scheme_name",
     "enumerate_family",
+    "NUMBER_PATTERN",
+    "render_number",
     "make_policy",
     "unknown_scheme_message",
 ]
@@ -52,6 +56,20 @@ ALIAS_PREFIX = "readduo-"
 
 #: Constructor keyword arguments parsed out of a scheme name.
 ParamDict = Dict[str, Any]
+
+#: Regex of a non-negative decimal parameter inside a scheme name
+#: (``@S=160``, ``Precise-2.5sigma``); :func:`render_number` is its inverse.
+NUMBER_PATTERN = r"\d+(?:\.\d+)?"
+
+
+def render_number(value: float) -> str:
+    """Shortest positional spelling of a number in a scheme name.
+
+    ``160.0`` -> ``"160"``, ``2.5`` -> ``"2.5"``, ``1e-05`` ->
+    ``"0.00001"``: it round-trips exactly through ``float()`` and always
+    matches :data:`NUMBER_PATTERN` (for non-negative finite values).
+    """
+    return np.format_float_positional(float(value), trim="-")
 
 
 @dataclass(frozen=True)
@@ -65,7 +83,8 @@ class SchemeFamily:
             for alias resolution after the ``readduo-`` prefix strip.
         factory: ``factory(ctx, **params) -> policy`` — usually the
             policy class itself.
-        parse: Maps a ``pattern`` match to constructor ``params``.
+        parse: Maps a ``pattern`` match to constructor ``params``, or to
+            ``None`` to reject a match whose parameter is out of range.
         canonical: Renders ``params`` back into the canonical spelling.
         listed: Concrete names advertised in listings (CLI ``list``,
             :func:`scheme_names`); a family lists its paper variants.
@@ -119,7 +138,8 @@ def register_scheme(
         name: Canonical fixed name (``"Hybrid"``).
         pattern: Canonical-name regex for a family (anchored via
             ``fullmatch``); requires ``parse`` and ``canonical``.
-        parse: ``match -> params`` for pattern families.
+        parse: ``match -> params`` for pattern families; returning
+            ``None`` rejects the name (an out-of-range parameter).
         canonical: ``params -> canonical name`` for pattern families.
         listed: Names to advertise in listings; defaults to ``(name,)``
             for fixed schemes and ``()`` for families.
@@ -195,7 +215,9 @@ def resolve_scheme(name: str) -> Optional[Tuple[SchemeFamily, ParamDict]]:
     for family in _FAMILIES.values():
         match = family.pattern.fullmatch(name)
         if match is not None:
-            return family, family.parse(match)
+            params = family.parse(match)
+            if params is not None:
+                return family, params
     return None
 
 
@@ -247,7 +269,9 @@ def canonical_scheme_name(name: str) -> str:
     for family in _FAMILIES.values():
         match = family.alias_pattern.fullmatch(lowered)
         if match is not None:
-            return family.canonical(family.parse(match))
+            params = family.parse(match)
+            if params is not None:
+                return family.canonical(params)
     return name
 
 

@@ -6,6 +6,9 @@ budgeted pulses can be *truncated*. The paper cites this (Jiang et al.)
 among the orthogonal MLC write-latency techniques; this wrapper layers it
 onto any scheme policy so its interaction with ReadDuo can be studied
 (see :func:`repro.experiments.ablations.ablation_write_truncation`).
+Any registered scheme name takes a ``+trunc`` suffix (``Select-4:2+trunc``)
+that wraps it here; the run's ``RunStats.truncated_writes`` counts the
+writes it shortened.
 
 Model: a write's latency scale is ``clip(N(mean, std), floor, 1.0)``
 multiplied by a weak function of how many cells are written — a
@@ -20,10 +23,39 @@ from typing import Optional
 import numpy as np
 
 from ..memsim.policy import ReadDecision, ScrubDecision, WriteDecision
+from .registry import (
+    canonical_scheme_name,
+    is_scheme_name,
+    make_policy,
+    register_scheme,
+)
 
-__all__ = ["WriteTruncationWrapper"]
+__all__ = ["WriteTruncationWrapper", "truncated_scheme_name"]
+
+_SUFFIX = "+trunc"
 
 
+def _parse(match) -> Optional[dict]:
+    inner = match.group("inner")
+    # One wrapper per scheme: rejecting a nested suffix before resolving
+    # the inner name keeps resolution from recursing once per level.
+    if inner.lower().endswith(_SUFFIX):
+        return None
+    canonical = canonical_scheme_name(inner)
+    return {"inner": canonical} if is_scheme_name(canonical) else None
+
+
+def truncated_scheme_name(inner: str) -> str:
+    """Canonical name of scheme ``inner`` with write truncation layered on."""
+    return canonical_scheme_name(inner) + _SUFFIX
+
+
+@register_scheme(
+    pattern=r"(?P<inner>.+)\+trunc",
+    parse=_parse,
+    canonical=lambda params: params["inner"] + _SUFFIX,
+    factory=lambda ctx, inner: WriteTruncationWrapper(make_policy(inner, ctx)),
+)
 class WriteTruncationWrapper:
     """Wraps a scheme policy, truncating its write latencies.
 

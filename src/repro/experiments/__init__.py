@@ -15,13 +15,16 @@ from .ablations import (
     ablation_scrub_contention,
     ablation_write_cancellation,
     ablation_write_truncation,
+    conversion_throttle_specs,
     scrub_contention_specs,
     write_cancellation_specs,
+    write_truncation_specs,
 )
 from .extras import (
     bch_detection_study,
     montecarlo_validation,
     precise_write_comparison,
+    precise_write_specs,
     scrub_interval_sensitivity,
     scrub_interval_specs,
 )
@@ -82,14 +85,18 @@ SWEEP_EXPERIMENTS = (
 #: experiment's driver will feed to run_sweep. The CLI's planned
 #: ``readduo run`` unions these up front (plan -> dedupe -> execute) so
 #: overlapping artifacts simulate each distinct run exactly once; the
-#: drivers then consume the prewarmed per-run cache. Drivers that never
-#: call run_sweep (closed-form tables, Monte-Carlo extras) are absent.
+#: drivers then consume the prewarmed per-run cache. Every driver that
+#: simulates is here; the ones that never call run_sweep (closed-form
+#: tables, the BCH and Monte-Carlo extras) are absent.
 EXPERIMENT_SPECS: Dict[str, Callable[..., Tuple[SimSpec, ...]]] = {
     **{experiment_id: sweep_specs for experiment_id in SWEEP_EXPERIMENTS},
     "ablation-scrub-contention": scrub_contention_specs,
     "ablation-write-cancellation": write_cancellation_specs,
+    "ablation-conversion-throttle": conversion_throttle_specs,
+    "ablation-write-truncation": write_truncation_specs,
     "extra-fault-density": fault_density_specs,
     "extra-scrub-interval": scrub_interval_specs,
+    "extra-precise-write": precise_write_specs,
 }
 
 __all__ = [

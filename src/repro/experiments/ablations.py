@@ -16,17 +16,20 @@ to three modeling decisions worth isolating:
 * **Write truncation** [11] — the cited MLC write-latency optimization
   layered onto a ReadDuo scheme (complementary, per related work).
 
-Each driver returns an :class:`~repro.experiments.report.ExperimentResult`.
+Each driver returns an :class:`~repro.experiments.report.ExperimentResult`
+built from :func:`~repro.experiments.runner.run_sweep` over its ``*_specs``.
 """
 
 from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..core.schemes import LwtPolicy, PolicyContext, make_policy
+from ..core.policies.lwt import lwt_scheme_name
+from ..core.registry import canonical_scheme_name
+from ..core.truncation import truncated_scheme_name
 from ..memsim.config import MemoryConfig
-from ..memsim.engine import simulate
-from ..traces.spec import workload
+# Never called here; perfbench/layers.py wraps this name to count stray calls.
+from ..memsim.engine import simulate  # noqa: F401
 from .report import ExperimentResult, geometric_mean
 from .runner import run_sweep
 from .spec import SimSpec
@@ -36,6 +39,8 @@ __all__ = [
     "ablation_write_cancellation",
     "ablation_conversion_throttle",
     "ablation_write_truncation",
+    "conversion_throttle_specs",
+    "write_truncation_specs",
 ]
 
 _DEFAULT_WORKLOADS = ("mcf", "lbm", "gcc")
@@ -176,6 +181,27 @@ def ablation_write_cancellation(
     )
 
 
+#: Conversion-throttle variants: (label, fixed T or None for adaptive).
+_THROTTLE_SETTINGS = (
+    ("adaptive (paper)", None),
+    ("never convert (T=0)", 0),
+    ("always convert (T=100)", 100),
+)
+
+
+def conversion_throttle_specs(
+    target_requests: int = 8_000,
+    workload_name: str = "sphinx3",
+    seed: int = 42,
+    settings: Optional[Sequence] = None,
+) -> tuple:
+    """The one spec the conversion-throttle ablation sweeps (T=100 is ``LWT-4-T100``)."""
+    schemes = ("Ideal",) + tuple(
+        lwt_scheme_name(4, conversion_t=t) for _, t in settings or _THROTTLE_SETTINGS
+    )
+    return (_spec_for((workload_name,), target_requests, MemoryConfig(), seed, schemes),)
+
+
 def ablation_conversion_throttle(
     target_requests: int = 8_000,
     workload_name: str = "sphinx3",
@@ -183,35 +209,13 @@ def ablation_conversion_throttle(
     settings: Optional[Sequence] = None,
 ) -> ExperimentResult:
     """Adaptive T vs fixed extremes on a cold-read workload."""
-    profile = workload(workload_name)
-    config = MemoryConfig()
-    spec = _spec_for(
-        (workload_name,), target_requests, config, seed, schemes=("Ideal", "LWT-4")
-    )
-    trace = spec.trace_for(workload_name)
-    ideal = simulate(
-        trace,
-        make_policy("Ideal", PolicyContext(profile=profile, config=config)),
-        config,
-    )
-    variants = settings or (
-        ("adaptive (paper)", None),
-        ("never convert (T=0)", 0),
-        ("always convert (T=100)", 100),
-    )
+    settings = settings or _THROTTLE_SETTINGS
+    (spec,) = conversion_throttle_specs(target_requests, workload_name, seed, settings)
+    grid = run_sweep(spec)[workload_name]
+    ideal = grid["Ideal"]
     rows = []
-    for label, fixed_t in variants:
-        policy = make_policy(
-            "LWT-4", PolicyContext(profile=profile, config=config, seed=seed)
-        )
-        assert isinstance(policy, LwtPolicy)
-        if fixed_t is not None:
-            policy.conversion.t = fixed_t
-            policy.conversion.step = 0 if fixed_t in (0, 100) else policy.conversion.step
-            # Freeze the controller at the fixed ratio.
-            policy.conversion.enabled = fixed_t > 0
-            policy.conversion.record_read = lambda untracked: None
-        stats = simulate(trace, policy, config)
+    for label, fixed_t in settings:
+        stats = grid[lwt_scheme_name(4, conversion_t=fixed_t)]
         rows.append(
             [
                 label,
@@ -235,6 +239,22 @@ def ablation_conversion_throttle(
     )
 
 
+def _truncation_schemes(scheme: str) -> tuple:
+    """Ideal, ``scheme`` and ``scheme`` with write truncation, canonical."""
+    return ("Ideal", canonical_scheme_name(scheme), truncated_scheme_name(scheme))
+
+
+def write_truncation_specs(
+    target_requests: int = 8_000,
+    workloads: Sequence[str] = ("lbm", "mcf", "bzip2"),
+    scheme: str = "Select-4:2",
+    seed: int = 42,
+) -> tuple:
+    """The one spec the write-truncation ablation sweeps (``<scheme>+trunc``)."""
+    schemes = _truncation_schemes(scheme)
+    return (_spec_for(workloads, target_requests, MemoryConfig(), seed, schemes),)
+
+
 def ablation_write_truncation(
     target_requests: int = 8_000,
     workloads: Sequence[str] = ("lbm", "mcf", "bzip2"),
@@ -248,40 +268,17 @@ def ablation_write_truncation(
     demand reads block behind writes — complementary to ReadDuo, as the
     paper's related-work section suggests.
     """
-    from ..core.truncation import WriteTruncationWrapper
-
-    config = MemoryConfig()
-    spec = _spec_for(
-        workloads, target_requests, config, seed, schemes=("Ideal", scheme)
-    )
+    (spec,) = write_truncation_specs(target_requests, workloads, scheme, seed)
+    grid = run_sweep(spec)
     rows = []
     for name in workloads:
-        profile = workload(name)
-        trace = spec.trace_for(name)
-        ideal = simulate(
-            trace,
-            make_policy("Ideal", PolicyContext(profile=profile, config=config)),
-            config,
-        )
-        plain = simulate(
-            trace,
-            make_policy(
-                scheme, PolicyContext(profile=profile, config=config, seed=seed)
-            ),
-            config,
-        )
-        truncated_policy = WriteTruncationWrapper(
-            make_policy(
-                scheme, PolicyContext(profile=profile, config=config, seed=seed)
-            )
-        )
-        truncated = simulate(trace, truncated_policy, config)
+        ideal, plain, truncated = (grid[name][s] for s in _truncation_schemes(scheme))
         rows.append(
             [
                 name,
                 plain.execution_time_ns / ideal.execution_time_ns,
                 truncated.execution_time_ns / ideal.execution_time_ns,
-                truncated_policy.truncated_writes,
+                truncated.truncated_writes,
             ]
         )
     return ExperimentResult(

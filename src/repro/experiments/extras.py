@@ -20,15 +20,17 @@
 
 from __future__ import annotations
 
+import dataclasses
 from typing import Sequence
 
 import numpy as np
 
-from ..core.schemes import PolicyContext, make_policy
+from ..baselines.precise import precise_scheme_name
+from ..core.policies.lwt import lwt_scheme_name
 from ..ecc.bch import DecodeStatus, bch8_for_line
 from ..memsim.config import MemoryConfig
-from ..memsim.engine import simulate
-from ..traces.spec import workload
+# Never called here; perfbench/layers.py wraps this name to count stray calls.
+from ..memsim.engine import simulate  # noqa: F401
 from .report import ExperimentResult
 from .runner import run_sweep
 from .spec import SimSpec
@@ -38,6 +40,7 @@ __all__ = [
     "scrub_interval_sensitivity",
     "scrub_interval_specs",
     "precise_write_comparison",
+    "precise_write_specs",
     "montecarlo_validation",
 ]
 
@@ -103,21 +106,14 @@ def scrub_interval_specs(
     target_requests: int = 8_000,
     seed: int = 42,
 ) -> tuple:
-    """The sweep-backed part of the scrub-interval study (Ideal baseline).
+    """The one spec the scrub-interval study sweeps.
 
-    The custom-interval LWT runs are built policy-by-policy and cannot go
-    through the registry/sweep path, but the Ideal baseline can — so it
-    is registered in ``EXPERIMENT_SPECS`` and shared with every other
-    artifact that normalizes against Ideal on the same trace.
+    Each interval is the registered scheme ``LWT-4@S=<seconds>``; the
+    paper's S=640 s spells plain ``LWT-4``, so that run (and the Ideal
+    baseline) is shared with every other artifact on the same trace.
     """
-    return (
-        SimSpec(
-            schemes=("Ideal",),
-            workloads=(workload_name,),
-            target_requests=target_requests,
-            seed=seed,
-        ),
-    )
+    schemes = ("Ideal",) + tuple(lwt_scheme_name(4, interval_s=s) for s in intervals_s)
+    return (SimSpec(schemes, (workload_name,), target_requests, seed),)
 
 
 def scrub_interval_sensitivity(
@@ -133,26 +129,12 @@ def scrub_interval_sensitivity(
     "written recently" for longer — trading scrub cost against R-read
     reliability margin. (Reliability itself stays safe per Table IV.)
     """
-    profile = workload(workload_name)
-    config = MemoryConfig()
-    spec = scrub_interval_specs(
-        intervals_s, workload_name, target_requests, seed
-    )[0]
-    trace = spec.trace_for(workload_name)
-    # The baseline rides the planner's shared cache (Ideal ignores the
-    # policy seed, so the sweep-produced run is bit-identical to the
-    # direct simulation this driver historically performed).
-    ideal = run_sweep(spec)[workload_name]["Ideal"]
+    (spec,) = scrub_interval_specs(intervals_s, workload_name, target_requests, seed)
+    grid = run_sweep(spec)[workload_name]
+    ideal = grid["Ideal"]
     rows = []
     for interval in intervals_s:
-        from ..core.schemes import LwtPolicy
-
-        policy = LwtPolicy(
-            PolicyContext(profile=profile, config=config, seed=seed),
-            k=4,
-            interval_s=interval,
-        )
-        stats = simulate(trace, policy, config)
+        stats = grid[lwt_scheme_name(4, interval_s=interval)]
         rows.append(
             [
                 interval,
@@ -175,6 +157,28 @@ def scrub_interval_sensitivity(
     )
 
 
+def precise_write_specs(
+    workload_name: str = "mcf",
+    target_requests: int = 8_000,
+    seed: int = 42,
+    program_width_sigma: float = 2.0,
+    write_slowdown: float = 1.6,
+) -> tuple:
+    """The two specs the precise-write comparison sweeps.
+
+    Ideal, Scrubbing and LWT-4 run on the default platform; the
+    ``Precise-<w>sigma`` scheme runs on a platform whose writes are
+    ``write_slowdown`` times slower (the extra P&V iterations).
+    """
+    timing = MemoryConfig().timing
+    slow = MemoryConfig(
+        timing=dataclasses.replace(timing, write_ns=timing.write_ns * write_slowdown)
+    )
+    base = SimSpec(("Ideal", "Scrubbing", "LWT-4"), (workload_name,), target_requests, seed)
+    precise = (precise_scheme_name(program_width_sigma),)
+    return (base, dataclasses.replace(base, schemes=precise, config=slow))
+
+
 def precise_write_comparison(
     workload_name: str = "mcf",
     target_requests: int = 8_000,
@@ -188,50 +192,24 @@ def precise_write_comparison(
     widens the guard band, postponing drift errors — at the cost of more
     program-and-verify iterations (modeled as a write-latency factor).
     The paper treats this as orthogonal; here it is evaluated head-on.
-    """
-    from ..baselines.precise import PreciseWritePolicy
 
-    profile = workload(workload_name)
-    slow_timing = MemoryConfig().timing
+    Every row normalizes against the shared, config-independent Ideal
+    unit on the default platform: Ideal never drifts, scrubs or consults
+    its platform's write timing, so its stats under the slow-write
+    config equal those under ``MemoryConfig()`` field for field (pinned
+    by ``tests/test_experiments_planned_variants.py``).
+    """
+    specs = precise_write_specs(
+        workload_name, target_requests, seed, program_width_sigma, write_slowdown
+    )
+    grids = [run_sweep(spec)[workload_name] for spec in specs]
+    ideal = grids[0]["Ideal"]
     rows = []
-    for label, scheme_config in (
-        ("Scrubbing", MemoryConfig()),
-        ("Precise-write", MemoryConfig(
-            timing=slow_timing.__class__(
-                r_read_ns=slow_timing.r_read_ns,
-                m_read_ns=slow_timing.m_read_ns,
-                write_ns=slow_timing.write_ns * write_slowdown,
-                cpu_freq_ghz=slow_timing.cpu_freq_ghz,
-                bus_ns=slow_timing.bus_ns,
-            )
-        )),
-        ("LWT-4", MemoryConfig()),
+    for label, stats in (
+        ("Scrubbing", grids[0]["Scrubbing"]),
+        ("Precise-write", grids[1][precise_scheme_name(program_width_sigma)]),
+        ("LWT-4", grids[0]["LWT-4"]),
     ):
-        variant_spec = SimSpec(
-            schemes=("Ideal",),
-            workloads=(workload_name,),
-            target_requests=target_requests,
-            seed=seed,
-            config=scheme_config,
-        )
-        trace = variant_spec.trace_for(workload_name)
-        ideal = simulate(
-            trace,
-            make_policy(
-                "Ideal", PolicyContext(profile=profile, config=scheme_config)
-            ),
-            MemoryConfig(),
-        )
-        if label == "Precise-write":
-            policy = PreciseWritePolicy(
-                PolicyContext(profile=profile, config=scheme_config, seed=seed),
-                program_width_sigma=program_width_sigma,
-            )
-        else:
-            policy = make_policy(
-                label, PolicyContext(profile=profile, config=scheme_config, seed=seed)
-            )
-        stats = simulate(trace, policy, scheme_config)
         rows.append(
             [
                 label,

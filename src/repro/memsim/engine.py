@@ -745,15 +745,20 @@ def simulate(
         from .batch import simulate_batch
 
         _LAST_ENGINE = "batch"
-        return simulate_batch(
+        stats = simulate_batch(
             trace, policy, config, epoch_s=epoch_s, telemetry=telemetry, faults=faults
         )
-    if engine != "event":
+    elif engine == "event":
+        _LAST_ENGINE = "event"
+        stats = MemorySystemSim(
+            trace, policy, config, epoch_s=epoch_s, telemetry=telemetry, faults=faults
+        ).run()
+    else:
         raise ValueError(f"unknown engine {engine!r}; expected one of {ENGINES}")
-    _LAST_ENGINE = "event"
-    return MemorySystemSim(
-        trace, policy, config, epoch_s=epoch_s, telemetry=telemetry, faults=faults
-    ).run()
+    # A write-truncating policy (the "+trunc" suffix) counts its own
+    # shortened writes; the engines only see the latency scale.
+    stats.truncated_writes = getattr(policy, "truncated_writes", 0)
+    return stats
 
 
 #: Engine used by this process's most recent :func:`simulate` call.

@@ -46,6 +46,10 @@ class RunStats:
         scrubs_skipped: Scrub visits dropped because the sweep could not
             keep pace with its deadline (reliability debt).
         cancelled_writes: Demand writes cancelled to service a read.
+        truncated_writes: Writes shortened by write truncation (the
+            ``+trunc`` scheme suffix); serialized only when nonzero, so
+            every other run's payload and the pinned sweep digest are
+            unchanged by the field.
         total_read_latency_ns: Sum of demand-read service latencies
             (queueing included), for mean-latency reporting.
         energy: Dynamic-energy account (pJ, by category).
@@ -79,6 +83,7 @@ class RunStats:
     scrub_rewrites: int = 0
     scrubs_skipped: int = 0
     cancelled_writes: int = 0
+    truncated_writes: int = 0
     total_read_latency_ns: float = 0.0
     energy: EnergyAccount = field(default_factory=EnergyAccount)
     wear: WearAccount = field(default_factory=WearAccount)
@@ -127,7 +132,8 @@ class RunStats:
         excluded: cache payloads and cross-run comparisons must not depend
         on whether a run was traced. Fault counters appear under a
         ``"faults"`` key only when any of them is nonzero, keeping
-        fault-free payloads (and the pinned sweep digest) unchanged.
+        fault-free payloads (and the pinned sweep digest) unchanged;
+        ``truncated_writes`` follows the same rule.
         """
         payload: Dict[str, Any] = {
             "scheme": self.scheme,
@@ -155,6 +161,8 @@ class RunStats:
                 "by_cause": dict(self.wear.by_cause),
             },
         }
+        if self.truncated_writes:
+            payload["truncated_writes"] = self.truncated_writes
         if self.fault_counters:
             payload["faults"] = self.fault_counters.as_dict()
         return payload
@@ -187,6 +195,7 @@ class RunStats:
             scrub_rewrites=data["scrub_rewrites"],
             scrubs_skipped=data["scrubs_skipped"],
             cancelled_writes=data["cancelled_writes"],
+            truncated_writes=data.get("truncated_writes", 0),
             total_read_latency_ns=data["total_read_latency_ns"],
             energy=energy,
             wear=wear,

@@ -85,6 +85,25 @@ _DONE = object()
 
 _MAX_HEADER_BYTES = 32 * 1024
 
+#: Seconds a client gets to deliver a whole request (head and body).
+#: A connection that sends nothing is answered 408 and closed.
+_READ_TIMEOUT_S = 10.0
+
+
+class _RequestError(Exception):
+    """A request rejected while it is read, before routing.
+
+    ``counter`` names the ``/v1/stats`` counter it increments
+    (``bad_requests`` for a malformed request, ``timeouts`` for a 408).
+    """
+
+    def __init__(
+        self, status: int, message: str, counter: str = "bad_requests"
+    ) -> None:
+        super().__init__(message)
+        self.status = status
+        self.counter = counter
+
 
 @dataclass
 class ServeConfig:
@@ -188,6 +207,8 @@ class SimServer:
             "units_coalesced": 0,
             "rejected_client_limit": 0,
             "rejected_queue_full": 0,
+            "bad_requests": 0,
+            "timeouts": 0,
             "errors": 0,
         }
 
@@ -307,6 +328,12 @@ class SimServer:
             await self._route(method, target, headers, body, client, writer)
         except (ConnectionResetError, BrokenPipeError):
             pass
+        except _RequestError as exc:
+            self.counters[exc.counter] += 1
+            try:
+                await _send_json(writer, exc.status, {"error": str(exc)})
+            except OSError:
+                pass
         except Exception as exc:  # pragma: no cover - defensive backstop
             self.counters["errors"] += 1
             _log.exception("request failed: %s", exc)
@@ -324,32 +351,58 @@ class SimServer:
     async def _read_request(
         self, reader: asyncio.StreamReader
     ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
-        """Parse one HTTP/1.x request; None on an empty connection."""
+        """Parse one HTTP/1.x request; None on an empty connection.
+
+        Raises :class:`_RequestError` for a malformed, oversized or
+        truncated request (400/413) and for a client that does not
+        deliver the whole request within ``_READ_TIMEOUT_S`` (408).
+        """
+        try:
+            return await asyncio.wait_for(self._parse_request(reader), _READ_TIMEOUT_S)
+        except asyncio.TimeoutError:
+            raise _RequestError(408, "request not received in time", "timeouts") from None
+
+    async def _parse_request(
+        self, reader: asyncio.StreamReader
+    ) -> Optional[Tuple[str, str, Dict[str, str], bytes]]:
         try:
             head = await reader.readuntil(b"\r\n\r\n")
         except asyncio.IncompleteReadError as exc:
             if not exc.partial:
                 return None
-            raise ValueError("truncated request head") from exc
+            raise _RequestError(400, "truncated request head") from exc
         except asyncio.LimitOverrunError as exc:
-            raise ValueError("request head too large") from exc
+            raise _RequestError(400, "request head too large") from exc
         if len(head) > _MAX_HEADER_BYTES:
-            raise ValueError("request head too large")
+            raise _RequestError(400, "request head too large")
         lines = head.decode("latin-1").split("\r\n")
         try:
             method, target, _version = lines[0].split(" ", 2)
-        except ValueError as exc:
-            raise ValueError(f"malformed request line: {lines[0]!r}") from exc
+        except ValueError:
+            raise _RequestError(
+                400, f"malformed request line: {lines[0][:80]!r}"
+            ) from None
         headers: Dict[str, str] = {}
         for line in lines[1:]:
             if not line:
                 continue
             name, _, value = line.partition(":")
             headers[name.strip().lower()] = value.strip()
-        length = int(headers.get("content-length", "0") or "0")
+        raw_length = headers.get("content-length", "0") or "0"
+        try:
+            length = int(raw_length)
+        except ValueError:
+            length = -1
+        if length < 0:
+            raise _RequestError(
+                400, f"invalid Content-Length: {raw_length[:40]!r}"
+            )
         if length > self.config.max_body_bytes:
-            raise ValueError("request body too large")
-        body = await reader.readexactly(length) if length else b""
+            raise _RequestError(413, "request body too large")
+        try:
+            body = await reader.readexactly(length) if length else b""
+        except asyncio.IncompleteReadError as exc:
+            raise _RequestError(400, "truncated request body") from exc
         return method.upper(), target, headers, body
 
     async def _route(
@@ -871,6 +924,7 @@ _STATUS_TEXT = {
     400: "Bad Request",
     404: "Not Found",
     405: "Method Not Allowed",
+    408: "Request Timeout",
     413: "Payload Too Large",
     429: "Too Many Requests",
     500: "Internal Server Error",

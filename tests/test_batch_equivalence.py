@@ -51,7 +51,11 @@ def _fresh_policy(scheme, profile, config):
 # --------------------------------------------------------- scheme sweep
 
 
-@pytest.mark.parametrize("scheme", scheme_names())
+#: Unlisted spellings the ablations and extras run.
+VARIANTS = ("LWT-4-T100", "LWT-4@S=160", "Select-4:2+trunc", "Precise-2sigma")
+
+
+@pytest.mark.parametrize("scheme", scheme_names() + VARIANTS)
 def test_batch_equals_event_per_scheme(scheme, trace_and_config):
     """Every registered scheme family: identical stats dicts."""
     trace, config, profile = trace_and_config
@@ -66,8 +70,8 @@ def test_batch_equals_event_per_scheme(scheme, trace_and_config):
 
 
 def test_batch_equals_event_precise_write(trace_and_config):
-    """The precise-write baseline (run by ``run all`` outside the registry)
-    inherits Scrubbing's kernels, and with them the batch path."""
+    """The precise-write baseline built directly (``Precise-2sigma`` by
+    name) inherits Scrubbing's kernels, and with them the batch path."""
     from repro.baselines.precise import PreciseWritePolicy
 
     trace, config, profile = trace_and_config

@@ -290,3 +290,111 @@ class TestPluginScheme:
         family, params = resolve_scheme("LWT-6-noconv")
         assert params == {"k": 6, "conversion_enabled": False}
         assert family.canonical(params) == "LWT-6-noconv"
+
+
+class TestVariantSyntaxes:
+    """Frozen ratios, scrub intervals, ``+trunc`` and precise writes."""
+
+    @pytest.mark.parametrize(
+        "spelling,canonical",
+        [
+            ("LWT-4@S=640", "LWT-4"),
+            ("LWT-4@S=640.0", "LWT-4"),
+            ("LWT-4-noconv@S=640", "LWT-4-noconv"),
+            ("lwt-4@s=160", "LWT-4@S=160"),
+            ("LWT-4@S=160.50", "LWT-4@S=160.5"),
+            ("LWT-4@S=1.0", "LWT-4@S=1"),
+            ("LWT-4-T100", "LWT-4-T100"),
+            ("LWT-4-T050", "LWT-4-T50"),
+            ("LWT-4-T0", "LWT-4-noconv"),
+            ("LWT-2-T100@S=2560", "LWT-2-T100@S=2560"),
+            ("Select-4:2+trunc", "Select-4:2+trunc"),
+            ("readduo-select-4:2+trunc", "Select-4:2+trunc"),
+            ("LWT-4@S=640+trunc", "LWT-4+trunc"),
+            ("Precise-2sigma", "Precise-2sigma"),
+            ("Precise-2.0sigma", "Precise-2sigma"),
+            ("precise-2.5sigma", "Precise-2.5sigma"),
+        ],
+    )
+    def test_canonical_spelling(self, spelling, canonical, ctx):
+        assert canonical_scheme_name(spelling) == canonical
+        assert canonical_scheme_name(canonical) == canonical
+        assert is_scheme_name(canonical)
+        assert make_policy(canonical, ctx).name == canonical
+
+    def test_parsed_parameters(self):
+        assert resolve_scheme("LWT-4-T100@S=160")[1] == {
+            "k": 4, "conversion_enabled": True, "conversion_t": 100,
+            "interval_s": 160.0,
+        }
+        assert resolve_scheme("Select-4:2+trunc")[1] == {"inner": "Select-4:2"}
+        assert resolve_scheme("Precise-2sigma")[1] == {"program_width_sigma": 2.0}
+
+    def test_policies_carry_the_parameters(self, ctx):
+        from repro.baselines.precise import PreciseWritePolicy
+        from repro.core.truncation import WriteTruncationWrapper
+
+        frozen = make_policy("LWT-4-T100", ctx)
+        assert frozen.conversion.t == 100 and frozen.conversion.frozen
+        assert make_policy("LWT-4@S=160", ctx).scrub_interval_s == 160.0
+        wrapped = make_policy("Select-4:2+trunc", ctx)
+        assert isinstance(wrapped, WriteTruncationWrapper)
+        assert wrapped.inner.name == "Select-4:2"
+        precise = make_policy("Precise-2sigma", ctx)
+        assert isinstance(precise, PreciseWritePolicy)
+        assert precise.program_width_sigma == 2.0
+
+    @pytest.mark.parametrize(
+        "name",
+        [
+            "LWT-4-T101",
+            "LWT-4@S=0",
+            "LWT-4@S=0.001",
+            "LWT-4@S=0.00000000000000000001",
+            "LWT-4@S=-5",
+            "LWT-4@S=1e3",
+            "LWT-4@S=" + "9" * 400,
+            "LWT-4-T" + "9" * 5000,
+            "LWT-4-noconv-T50",
+            "LWT-4@T=100",
+            "NoSuchScheme+trunc",
+            "Ideal+trunc+trunc",
+            "readduo-ideal+TRUNC+trunc",
+            "+trunc",
+            "Precise-0sigma",
+            "Precise-3sigma",
+            "Precise-sigma",
+        ],
+    )
+    def test_unknown_or_out_of_range_suffix_is_a_spec_error(self, name):
+        from repro.experiments.spec import SimSpec, SpecError
+
+        assert not is_scheme_name(canonical_scheme_name(name))
+        with pytest.raises(SpecError, match="unknown schemes"):
+            SimSpec(schemes=(name,), workloads=("gcc",))
+
+    def test_nested_trunc_is_rejected_without_recursion(self):
+        import time
+
+        from repro.experiments.spec import SimSpec, SpecError
+
+        start = time.perf_counter()
+        with pytest.raises(SpecError, match="unknown schemes"):
+            SimSpec(schemes=("Ideal" + "+trunc" * 40,), workloads=("mcf",))
+        assert time.perf_counter() - start < 1.0
+
+    def test_listings_unchanged(self):
+        # The new spellings are accepted, not advertised.
+        assert "LWT-4-T100" not in scheme_names()
+        assert [f["syntax"] for f in scheme_catalog()["families"]] == [
+            "LWT-<k>[-noconv]", "Select-<k>:<s>",
+        ]
+        assert enumerate_family(
+            "LWT-<k>[-noconv]", {"k": [4], "conversion_enabled": [True, False]}
+        ) == ("LWT-4", "LWT-4-noconv")
+
+    def test_frozen_ratio_never_adapts(self, ctx):
+        controller = make_policy("LWT-4-T100", ctx).conversion
+        for _ in range(5 * controller.window_reads):
+            controller.record_read(untracked=True)
+        assert controller.t == 100 and controller.adjustments == 0

@@ -47,3 +47,23 @@ class TestDerivedMetrics:
                     "energy_uj", "cell_writes"):
             assert key in summary
         assert summary["exec_ms"] == pytest.approx(2.0)
+
+
+class TestTruncatedWrites:
+    def test_absent_from_dict_when_zero(self, stats):
+        assert stats.truncated_writes == 0
+        assert "truncated_writes" not in stats.to_dict()
+        assert RunStats.from_dict(stats.to_dict()) == stats
+
+    def test_round_trips_when_nonzero(self, stats):
+        stats.truncated_writes = 17
+        payload = stats.to_dict()
+        assert payload["truncated_writes"] == 17
+        again = RunStats.from_dict(payload)
+        assert again.truncated_writes == 17
+        assert again == stats
+
+    def test_counts_toward_equality(self, stats):
+        other = RunStats.from_dict(stats.to_dict())
+        other.truncated_writes = 1
+        assert other != stats

@@ -369,3 +369,76 @@ class TestExecutorPool:
         assert stats["counters"]["units_owned"] == 6
         seeds = {p["seed"] for p in payloads}
         assert seeds == {500 + i for i in range(6)}
+
+
+async def _raw_exchange(server, payload: bytes) -> bytes:
+    """Send raw bytes on a real socket; return the whole response."""
+    reader, writer = await asyncio.open_connection("127.0.0.1", server.port)
+    try:
+        writer.write(payload)
+        await writer.drain()
+        return await asyncio.wait_for(reader.read(-1), 10.0)
+    finally:
+        writer.close()
+        await writer.wait_closed()
+
+
+def _status(raw: bytes) -> int:
+    return int(raw.split(b"\r\n", 1)[0].split(b" ")[1])
+
+
+class TestMalformedRequests:
+    """Broken or stalled requests get a 4xx and a counter, never a 500."""
+
+    @pytest.mark.parametrize(
+        "payload",
+        [
+            b"GARBAGE\r\n\r\n",
+            b"POST /v1/submit HTTP/1.1\r\nContent-Length: abc\r\n\r\n{}",
+            b"POST /v1/submit HTTP/1.1\r\nContent-Length: -5\r\n\r\n{}",
+        ],
+        ids=["request-line", "non-numeric-length", "negative-length"],
+    )
+    def test_malformed_is_400_and_counted(self, payload):
+        async def body(server, client):
+            raw = await _raw_exchange(server, payload)
+            return raw, await client.stats()
+
+        raw, stats = run(body)
+        assert _status(raw) == 400
+        assert "error" in json.loads(raw.split(b"\r\n\r\n", 1)[1])
+        assert stats["counters"]["bad_requests"] == 1
+        assert stats["counters"]["errors"] == 0
+
+    def test_oversized_body_is_413(self):
+        async def body(server, client):
+            raw = await _raw_exchange(
+                server,
+                b"POST /v1/submit HTTP/1.1\r\nContent-Length: 99999999\r\n\r\n",
+            )
+            return raw, await client.stats()
+
+        raw, stats = run(body)
+        assert _status(raw) == 413
+        assert stats["counters"]["bad_requests"] == 1
+        assert stats["counters"]["errors"] == 0
+
+    @pytest.mark.parametrize(
+        "payload",
+        [b"", b"POST /v1/submit HTTP/1.1\r\nContent-Length: 10\r\n\r\n{}"],
+        ids=["silent-client", "short-body"],
+    )
+    def test_stalled_read_is_408_and_counted(self, payload, monkeypatch):
+        from repro.service import server as server_module
+
+        monkeypatch.setattr(server_module, "_READ_TIMEOUT_S", 0.2)
+
+        async def body(server, client):
+            raw = await _raw_exchange(server, payload)
+            return raw, await client.stats()
+
+        raw, stats = run(body)
+        assert _status(raw) == 408
+        assert stats["counters"]["timeouts"] == 1
+        assert stats["counters"]["errors"] == 0
+        assert stats["counters"]["bad_requests"] == 0
