@@ -9,7 +9,8 @@ import numpy as np
 import pytest
 
 from repro.core.sampler import DriftErrorSampler
-from repro.core.schemes import PolicyContext, make_policy
+from repro.core.policies import PolicyContext
+from repro.core.registry import make_policy
 from repro.ecc.bch import bch8_for_line
 from repro.memsim.config import MemoryConfig
 from repro.memsim.engine import simulate

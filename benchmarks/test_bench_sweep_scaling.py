@@ -126,20 +126,20 @@ def test_sweep_serial_vs_parallel_vs_cached(results_dir, tmp_path):
     work-stealing executor). On 1-CPU runners the parallel keys are
     omitted entirely instead of recording ``null``.
     """
-    from repro.experiments.cache import SweepCache
+    from repro.experiments.cache import RunCache
     from repro.experiments.planner import build_plan, execute_plan
     from repro.experiments.runner import (
-        SweepSettings,
+        SimSpec,
         clear_sweep_cache,
         run_sweep,
     )
 
-    settings = SweepSettings(
+    settings = SimSpec(
         schemes=BENCH_SCHEMES,
         workloads=BENCH_WORKLOADS,
         target_requests=max(2_000, BENCH_REQUESTS // 5),
     )
-    cache = SweepCache(tmp_path / "sweep-cache")
+    cache = RunCache(tmp_path / "sweep-cache")
 
     clear_sweep_cache()
     serial_grid, serial_s = _time(lambda: run_sweep(settings, jobs=1, cache=cache))
@@ -169,7 +169,7 @@ def test_sweep_serial_vs_parallel_vs_cached(results_dir, tmp_path):
             lambda: execute_plan(
                 cold_plan,
                 jobs=BENCH_JOBS,
-                cache=SweepCache(tmp_path / "parallel-cache"),
+                store=RunCache(tmp_path / "parallel-cache"),
             )
         )
         assert _flat(cold_plan.grid_for(settings, cold_results)) == _flat(serial_grid)
@@ -184,13 +184,13 @@ def test_sweep_serial_vs_parallel_vs_cached(results_dir, tmp_path):
     # Warm two-artifact plan: the full grid plus an overlapping subset
     # must fold the subset away (dedup) and execute zero units.
     clear_sweep_cache()
-    subset = SweepSettings(
+    subset = SimSpec(
         schemes=BENCH_SCHEMES[:2],
         workloads=BENCH_WORKLOADS[:1],
         target_requests=settings.target_requests,
     )
     warm_plan = build_plan([settings, subset])
-    _, warm_plan_s = _time(lambda: execute_plan(warm_plan, jobs=1, cache=cache))
+    _, warm_plan_s = _time(lambda: execute_plan(warm_plan, jobs=1, store=cache))
     assert warm_plan.stats.units_simulated == 0
     assert warm_plan.stats.units_deduped == len(subset.schemes) * len(
         subset.workloads

@@ -33,17 +33,17 @@ from __future__ import annotations
 from typing import Dict, Optional, Sequence
 
 from .core.readout import ReadDuoController, ReadMechanism, ReadOutcome
-from .core.schemes import (
+from .core import SCHEME_NAMES
+from .core.policies import (
     HybridPolicy,
     IdealPolicy,
     LwtPolicy,
     MMetricPolicy,
     PolicyContext,
-    SCHEME_NAMES,
     ScrubbingPolicy,
     SelectPolicy,
-    make_policy,
 )
+from .core.registry import make_policy
 from .memsim.config import DEFAULT_EPOCH_S, MemoryConfig
 from .memsim.engine import MemorySystemSim, simulate
 from .memsim.stats import RunStats

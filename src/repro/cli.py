@@ -100,7 +100,7 @@ from .core.registry import (
     scheme_names,
     unknown_scheme_message,
 )
-from .core.schemes import PolicyContext
+from .core.policies import PolicyContext
 from .experiments import EXPERIMENTS, SWEEP_EXPERIMENTS
 from .memsim.config import MemoryConfig
 from .memsim.engine import simulate
@@ -251,9 +251,9 @@ def _cmd_run(args: argparse.Namespace) -> int:
     service = _make_service(args, tele)
     quick_requests = args.quick_requests if args.quick else None
     # service.session() routes the figure drivers' internal run_sweep
-    # calls through this service's jobs/cache/telemetry (the previous
-    # process-wide defaults are restored on exit, keeping main()
-    # reentrant for tests and embedding).
+    # calls through this service (the previously installed one is
+    # restored on exit, keeping main() reentrant for tests and
+    # embedding).
     with _cli_tracker(args, tele, "run"), service, service.session():
         service.prewarm(names, quick_requests=quick_requests)
         for name in names:
@@ -380,8 +380,8 @@ def _cmd_sweep(args: argparse.Namespace) -> int:
             # default payload must stay byte-identical across cold and warm
             # runs (CI compares them) and with older exports.
             counters = (
-                service.cache.counters.as_dict()
-                if service.cache is not None
+                service.store.counters.as_dict()
+                if service.store is not None
                 else None
             )
             payload["telemetry"] = {

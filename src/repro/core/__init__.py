@@ -4,7 +4,6 @@
   parameterized families, factories); schemes self-register here.
 * :mod:`repro.core.policies` — the scheme policy implementations, one
   module per family.
-* :mod:`repro.core.schemes` — compatibility facade over the two above.
 * :mod:`repro.core.lwt` — the Figure 5 flag automaton and the quantized
   tracker.
 * :mod:`repro.core.conversion` — the adaptive R-M-read conversion
@@ -20,8 +19,7 @@ from .conversion import AdaptiveConversionController
 from .lwt import LwtLineFlags, QuantizedTracker, lwt_flag_bits
 from .readout import ReadDuoController, ReadMechanism, ReadOutcome
 from .sampler import DriftErrorSampler
-from .registry import register_scheme, scheme_names
-from .schemes import (
+from .policies import (
     CORRECTABLE_ERRORS,
     DETECTABLE_ERRORS,
     HybridPolicy,
@@ -31,11 +29,10 @@ from .schemes import (
     MMetricPolicy,
     PolicyContext,
     R_SCRUB_INTERVAL_S,
-    SCHEME_NAMES,
     ScrubbingPolicy,
     SelectPolicy,
-    make_policy,
 )
+from .registry import make_policy, register_scheme, scheme_names
 
 __all__ = [
     "register_scheme",
@@ -63,3 +60,8 @@ __all__ = [
     "SelectPolicy",
     "make_policy",
 ]
+
+#: Built-in scheme names, in registry order: a snapshot taken at import
+#: time. Prefer the live :func:`~repro.core.registry.scheme_names` when
+#: plugins may register schemes later.
+SCHEME_NAMES = scheme_names()

@@ -29,7 +29,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 
-__all__ = ["LwtLineFlags", "QuantizedTracker", "lwt_flag_bits"]
+__all__ = ["LwtLineFlags", "QuantizedTracker", "lwt_flag_bits", "valid_k"]
 
 
 def lwt_flag_bits(k: int) -> int:
@@ -38,8 +38,13 @@ def lwt_flag_bits(k: int) -> int:
     return k + int(math.log2(k))
 
 
+def valid_k(k: int) -> bool:
+    """Whether ``k`` sub-intervals can be tracked: a power of two >= 2."""
+    return k >= 2 and not k & (k - 1)
+
+
 def _validate_k(k: int) -> None:
-    if k < 2 or k & (k - 1):
+    if not valid_k(k):
         raise ValueError("k must be a power of two >= 2")
 
 

@@ -6,7 +6,7 @@ import math
 from typing import Optional
 
 from ..conversion import AdaptiveConversionController
-from ..lwt import QuantizedTracker
+from ..lwt import QuantizedTracker, valid_k
 from ..registry import NUMBER_PATTERN, register_scheme, render_number
 from ...memsim.policy import MODE_RM, Kernels
 from .base import (
@@ -33,6 +33,8 @@ def _parse(match) -> Optional[dict]:
         "k": int(match.group("k")),
         "conversion_enabled": match.group("noconv") is None,
     }
+    if not valid_k(params["k"]):
+        return None
     t = match.group("t")
     if t is not None:
         if int(t) > 100:

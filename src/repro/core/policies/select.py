@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+from typing import Optional
+
+from ..lwt import valid_k
 from ..registry import register_scheme
 from ...memsim.policy import Kernels
 from .base import DATA_CELLS, M_SCRUB_INTERVAL_S, PolicyContext
@@ -10,12 +13,16 @@ from .lwt import LwtPolicy
 __all__ = ["SelectPolicy"]
 
 
+def _parse(match) -> Optional[dict]:
+    k, s = int(match.group("k")), int(match.group("s"))
+    if not valid_k(k) or s < 1:
+        return None
+    return {"k": k, "s": s}
+
+
 @register_scheme(
     pattern=r"Select-(?P<k>\d+):(?P<s>\d+)",
-    parse=lambda match: {
-        "k": int(match.group("k")),
-        "s": int(match.group("s")),
-    },
+    parse=_parse,
     canonical=lambda params: "Select-{}:{}".format(params["k"], params["s"]),
     listed=("Select-4:1", "Select-4:2"),
     syntax="Select-<k>:<s>",

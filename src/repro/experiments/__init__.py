@@ -31,7 +31,7 @@ from .extras import (
 from .faults import fault_density_specs, fault_density_study
 from .figures._sweep import sweep_specs
 from .report import ExperimentResult, geometric_mean
-from .runner import ALL_SCHEMES, SweepSettings, clear_sweep_cache, run_sweep
+from .runner import ALL_SCHEMES, clear_sweep_cache, run_sweep
 from .spec import SimSpec, SpecError
 
 EXPERIMENTS: Dict[str, Callable[..., ExperimentResult]] = {
@@ -108,7 +108,6 @@ __all__ = [
     "ALL_SCHEMES",
     "SimSpec",
     "SpecError",
-    "SweepSettings",
     "run_sweep",
     "clear_sweep_cache",
 ]

@@ -86,7 +86,8 @@ def _scenario(requests: int):
     yields a fresh seed-42 Hybrid policy per run (policies carry mutable
     per-run state, traces do not).
     """
-    from ..core.schemes import PolicyContext, make_policy
+    from ..core.policies import PolicyContext
+    from ..core.registry import make_policy
     from ..memsim.config import MemoryConfig
     from ..traces.generator import generate_trace
     from ..traces.spec import instructions_for_requests, workload

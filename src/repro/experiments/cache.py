@@ -1,14 +1,17 @@
-"""Persistent on-disk cache for simulation sweeps.
+"""Persistent on-disk store for simulation runs.
 
-A sweep is identified by a content hash over *everything* that can change
-its outcome: scheme list, workload list, trace length, seed, every
-:class:`~repro.memsim.config.MemoryConfig` field (timing and energy
-parameters included), and the package version. Any change to any of those
-produces a new key, so stale entries are never returned — they are merely
-never read again. Results live as one JSON file per sweep under
-``results/.sweep-cache/`` (override with ``READDUO_SWEEP_CACHE``), which
-makes regenerating every figure across processes cost zero re-simulation
-once the grid has been computed anywhere on the machine.
+One run — one scheme on one workload's trace under one config, seed and
+epoch — is identified by :meth:`SimSpec.run_hash
+<repro.experiments.spec.SimSpec.run_hash>`, a content hash over
+*everything* that can change its outcome: the scheme, the workload, the
+trace length, the seed, every :class:`~repro.memsim.config.MemoryConfig`
+field (timing and energy parameters included), and the package version.
+Any change to any of those produces a new key, so stale entries are
+never returned — they are merely never read again. :class:`RunCache`
+keeps one file per run under ``results/.sweep-cache/runs/`` (override
+the root with ``READDUO_SWEEP_CACHE``); any sweep that implies a run
+already computed anywhere on the machine reads it back instead of
+simulating it.
 
 The stored payload is the lossless :meth:`RunStats.to_dict` form; a
 reload reproduces the original statistics bit-for-bit (Python's ``json``
@@ -25,22 +28,17 @@ import struct
 import zlib
 from dataclasses import dataclass
 from pathlib import Path
-from typing import TYPE_CHECKING, Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Union
 
 from .. import __version__
 from ..memsim.stats import RunStats
 from ..obs import get_logger
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (runner imports us)
-    from .spec import SimSpec as SweepSettings
-
 __all__ = [
     "CacheCounters",
     "RunStore",
     "RunCache",
-    "SweepCache",
     "default_cache_dir",
-    "settings_key",
 ]
 
 _log = get_logger("experiments.cache")
@@ -48,12 +46,8 @@ _log = get_logger("experiments.cache")
 #: Environment override for the cache location.
 CACHE_DIR_ENV = "READDUO_SWEEP_CACHE"
 
-#: Bumped when the on-disk *payload* layout changes incompatibly. The
-#: cache *key* schema is versioned separately by
-#: :data:`repro.experiments.spec.SPEC_HASH_FORMAT`.
-_FORMAT = 1
-
-#: On-disk layout version of the granular per-run entries (RunCache).
+#: On-disk layout version of the per-run entries. The cache *key* schema
+#: is versioned separately by :data:`repro.experiments.spec.SPEC_HASH_FORMAT`.
 _RUN_FORMAT = 1
 
 #: Subdirectory (under the sweep-cache root) holding per-run entries.
@@ -101,47 +95,21 @@ def _gzip_min_bytes() -> int:
         return _DEFAULT_GZIP_MIN_BYTES
 
 
-def _remove_cache_files(directory: Path) -> int:
-    """Delete cache entries (and quarantined ``.bad`` files) in a directory."""
-    removed = 0
-    if directory.is_dir():
-        for pattern in ("*.json", "*.json.bad"):
-            for entry in directory.glob(pattern):
-                try:
-                    entry.unlink()
-                    removed += 1
-                except OSError:
-                    pass
-    return removed
-
-
-def settings_key(settings: "SweepSettings") -> str:
-    """Content hash identifying a sweep's full configuration.
-
-    Delegates to :meth:`~repro.experiments.spec.SimSpec.content_hash`,
-    the single definition of sweep identity: canonical schemes,
-    *effective* workloads, target_requests, seed, epoch, every nested
-    ``MemoryConfig`` field, and the package version.
-    """
-    return settings.content_hash()
-
-
 @dataclass
 class CacheCounters:
-    """Hit/miss accounting for one :class:`SweepCache` instance.
+    """Hit/miss accounting for one :class:`RunStore` instance.
 
-    Counted in **runs** (one run = one (workload, scheme) pair), so a
-    whole-grid load shows up as ``len(grid)`` hits rather than one — a
-    cold sweep reports all misses, a warm rerun all hits. ``stale``
-    counts load attempts that found a file but could not use it (corrupt
-    JSON, incompatible layout); each stale load also reports its runs as
-    misses, since they will be re-simulated.
+    Counted in **runs** (one run = one (workload, scheme) pair): a cold
+    sweep reports all misses, a warm rerun all hits. ``stale`` counts
+    load attempts that found an entry but could not use it (corrupt
+    JSON, incompatible layout); each stale load is also a miss, since
+    the run will be re-simulated.
 
     Attributes:
-        hits: Runs served from disk.
-        misses: Runs that had to be simulated.
-        stale: Unusable cache files encountered.
-        stores: Grids written back to disk.
+        hits: Runs served from the store.
+        misses: Runs the store could not serve.
+        stale: Unusable entries encountered.
+        stores: Run entries written.
         quarantined: Unusable granular files renamed aside (``.bad``) so
             they cannot be retried and can be inspected post-mortem;
             every quarantine is also a stale (and missed) load.
@@ -164,127 +132,21 @@ class CacheCounters:
 
 
 class SweepCache:
-    """Persistent ``{workload: {scheme: RunStats}}`` store, one file per sweep.
+    """Retired whole-sweep cache; nothing in the package constructs it.
 
-    Args:
-        cache_dir: Root directory; created lazily on first store.
-
-    Attributes:
-        counters: Per-instance hit/miss/stale accounting
-            (:class:`CacheCounters`), surfaced by the CLI's sweep
-            telemetry. Reset with ``cache.counters = CacheCounters()``.
+    Results persist only as granular :class:`RunCache` entries. The
+    name and its no-op ``load``/``store``/``peek`` stay bound because
+    ``perfbench/layers.py`` patches them when tracing ``run all``.
     """
 
-    def __init__(self, cache_dir: Union[str, Path, None] = None) -> None:
-        self.cache_dir = Path(cache_dir) if cache_dir else default_cache_dir()
-        self.counters = CacheCounters()
+    def load(self, *_args: object) -> None:
+        return None
 
-    def path_for(self, settings: "SweepSettings") -> Path:
-        """The cache file a sweep with these settings lives in."""
-        return self.cache_dir / f"{settings_key(settings)}.json"
+    def store(self, *_args: object) -> None:
+        return None
 
-    def _read(
-        self, settings: "SweepSettings"
-    ) -> "Tuple[Optional[Dict[str, Dict[str, RunStats]]], str]":
-        """Read a stored grid; returns ``(grid, status)``.
-
-        ``status`` is ``"hit"``, ``"absent"``, or ``"stale"`` (present
-        but unusable: corrupt JSON or an incompatible layout). No
-        counters are touched — :meth:`load` layers the accounting.
-        """
-        path = self.path_for(settings)
-        try:
-            with open(path, "r", encoding="utf-8") as handle:
-                payload = json.load(handle)
-        except FileNotFoundError:
-            return None, "absent"
-        except (OSError, ValueError):
-            _log.warning("unreadable sweep cache entry %s; re-simulating", path)
-            return None, "stale"
-        try:
-            runs = payload["runs"]
-            # Reassemble in canonical settings order (the stored JSON is
-            # key-sorted) so a reloaded grid iterates exactly like a
-            # freshly simulated one.
-            grid = {
-                workload: {
-                    scheme: RunStats.from_dict(runs[workload][scheme])
-                    for scheme in settings.schemes
-                }
-                for workload in settings.effective_workloads()
-            }
-        except (KeyError, TypeError):
-            _log.warning("stale sweep cache entry %s; re-simulating", path)
-            return None, "stale"
-        return grid, "hit"
-
-    def load(self, settings: "SweepSettings") -> Optional[Dict[str, Dict[str, RunStats]]]:
-        """Return the cached grid for ``settings``, or None on a miss.
-
-        A corrupt or truncated file (e.g. an interrupted manual copy) is
-        treated as a miss rather than an error; the next store overwrites it.
-        """
-        expected = len(settings.schemes) * len(settings.effective_workloads())
-        grid, status = self._read(settings)
-        if grid is None:
-            if status == "stale":
-                self.counters.stale += 1
-            self.counters.misses += expected
-            return None
-        self.counters.hits += expected
-        _log.debug(
-            "sweep cache hit: %d runs from %s", expected, self.path_for(settings)
-        )
-        return grid
-
-    def peek(self, settings: "SweepSettings") -> Optional[Dict[str, Dict[str, RunStats]]]:
-        """Like :meth:`load`, but with no hit/miss accounting.
-
-        The execution planner uses this as the read-through migration
-        path: a whole-sweep entry consulted for *individual* runs must
-        not count the full grid as hit or missed — the planner classifies
-        each run unit itself.
-        """
-        return self._read(settings)[0]
-
-    def store(
-        self, settings: "SweepSettings", grid: Dict[str, Dict[str, RunStats]]
-    ) -> Path:
-        """Persist a computed grid; atomic against concurrent readers."""
-        path = self.path_for(settings)
-        self.cache_dir.mkdir(parents=True, exist_ok=True)
-        payload = {
-            "format": _FORMAT,
-            "version": __version__,
-            "runs": {
-                workload: {
-                    scheme: stats.to_dict() for scheme, stats in per_scheme.items()
-                }
-                for workload, per_scheme in grid.items()
-            },
-        }
-        tmp = path.with_suffix(f".tmp.{os.getpid()}")
-        with open(tmp, "w", encoding="utf-8") as handle:
-            # No sort_keys: category/cause dicts must keep insertion order
-            # so order-sensitive float sums (e.g. total dynamic energy)
-            # reproduce to the last ulp after a reload.
-            json.dump(payload, handle)
-        os.replace(tmp, path)
-        self.counters.stores += 1
-        _log.debug("stored sweep cache entry %s", path)
-        return path
-
-    def clear(self) -> int:
-        """Delete every cached result under this root; returns files removed.
-
-        Covers both the whole-sweep entries in the root *and* the
-        granular per-run store beside them (``runs/``, including
-        quarantined ``.bad`` files) — "clear the cache" must not leave
-        run-level entries behind to silently satisfy the next plan.
-        """
-        removed = _remove_cache_files(self.cache_dir)
-        removed += RunCache(self.cache_dir).clear()
-        return removed
+    def peek(self, *_args: object) -> None:
+        return None
 
 
 class RunStore(abc.ABC):
@@ -344,14 +206,13 @@ class RunStore(abc.ABC):
 class RunCache(RunStore):
     """Granular per-run persistent store: one file per (workload, scheme) run.
 
-    Lives *beside* the whole-sweep entries, under ``<root>/runs/``, with
-    one JSON file per run keyed by :meth:`SimSpec.run_hash` — the content
-    hash of the single-pair sub-spec. Because the key is derived from the
-    same machinery as the sweep-level key, any two sweeps (an ablation
-    varying one config knob, an extras driver adding one scheme, two
-    figures sharing a subset) that imply the same simulation share the
-    same entry, so incremental re-exploration only pays for genuinely new
-    runs.
+    Lives under ``<root>/runs/``, with one JSON file per run keyed by
+    :meth:`SimSpec.run_hash` — the content hash of the single-pair
+    sub-spec. Because the key covers only what the run depends on, any
+    two sweeps (an ablation varying one config knob, an extras driver
+    adding one scheme, two figures sharing a subset) that imply the same
+    simulation share the same entry, so incremental re-exploration only
+    pays for genuinely new runs.
 
     Entries whose serialized payload reaches ``gzip_min_bytes``
     (``READDUO_RUN_CACHE_GZIP_MIN``, default 4 KiB, 0 disables) are
@@ -360,17 +221,18 @@ class RunCache(RunStore):
     the gzip magic so plain and compressed entries coexist transparently.
 
     Args:
-        root: The sweep-cache root (the same directory a
-            :class:`SweepCache` uses); entries go in its ``runs/``
-            subdirectory.
+        root: The cache root (default :func:`default_cache_dir`);
+            entries go in its ``runs/`` subdirectory.
 
     Attributes:
+        root: The cache root.
+        cache_dir: ``root / "runs"``, where the entries live.
         counters: Per-instance :class:`CacheCounters`, counted in runs.
     """
 
     def __init__(self, root: Union[str, Path, None] = None) -> None:
-        base = Path(root) if root else default_cache_dir()
-        self.cache_dir = base / RUN_CACHE_SUBDIR
+        self.root = Path(root) if root else default_cache_dir()
+        self.cache_dir = self.root / RUN_CACHE_SUBDIR
         self.counters = CacheCounters()
         self.gzip_min_bytes = _gzip_min_bytes()
 
@@ -481,8 +343,9 @@ class RunCache(RunStore):
             "key": key,
             "workload": stats.workload,
             "scheme": stats.scheme,
-            # No sort_keys, as in SweepCache.store: insertion order keeps
-            # order-sensitive float sums bit-identical after a reload.
+            # No sort_keys: category/cause dicts must keep insertion
+            # order so order-sensitive float sums (e.g. total dynamic
+            # energy) reproduce to the last ulp after a reload.
             "stats": stats.to_dict(),
         }
         # No sort_keys (see payload comment); compact separators keep the
@@ -502,4 +365,13 @@ class RunCache(RunStore):
 
     def clear(self) -> int:
         """Delete every cached run (quarantined files included)."""
-        return _remove_cache_files(self.cache_dir)
+        removed = 0
+        if self.cache_dir.is_dir():
+            for pattern in ("*.json", "*.json.bad"):
+                for entry in self.cache_dir.glob(pattern):
+                    try:
+                        entry.unlink()
+                        removed += 1
+                    except OSError:
+                        pass
+        return removed

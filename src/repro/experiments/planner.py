@@ -9,12 +9,10 @@ then resolves every unit through a cache hierarchy before simulating
 anything:
 
 1. the in-process run memo (``_RUN_MEMO``, shared across sweeps);
-2. the granular on-disk store (:class:`~repro.experiments.cache.RunCache`,
-   one file per run under ``<cache>/runs/``);
-3. read-through migration from legacy *whole-sweep* entries — an old
-   ``SweepCache`` grid satisfies its runs individually and each migrated
-   run is re-stored granularly, so pre-planner caches keep paying off;
-4. actual simulation, serial or on the work-stealing pool
+2. the granular run store (:class:`~repro.experiments.cache.RunStore`;
+   on disk, :class:`~repro.experiments.cache.RunCache` keeps one file
+   per run under ``<cache>/runs/``);
+3. actual simulation, serial or on the work-stealing pool
    (:func:`~repro.experiments.parallel.run_units_parallel`) with
    ``workloads x schemes`` way parallelism.
 
@@ -42,7 +40,7 @@ from ..memsim.stats import RunStats
 from ..obs import Telemetry, get_logger
 from ..obs.progress import ProgressLine
 from ..obs.spans import SpanTracker, current_tracker, maybe_span, tracker_scope
-from .cache import RunCache, RunStore, SweepCache
+from .cache import RunStore
 from .parallel import run_units_parallel, simulate_unit
 from .spec import SimSpec
 
@@ -71,10 +69,10 @@ _log = get_logger("experiments.planner")
 DEFAULT_RUN_MEMO_CAPACITY = 4096
 
 #: In-process memo of completed runs, keyed by run hash, in LRU order
-#: (oldest first). Shared across sweeps (unlike the runner's per-settings
-#: grid memo), so overlapping specs within one process never re-simulate
-#: shared pairs. Bounded by :data:`_RUN_MEMO_CAPACITY` — eviction only
-#: costs a possible granular-disk re-read, never correctness. Cleared by
+#: (oldest first). Shared across sweeps, so overlapping specs within one
+#: process never re-simulate shared pairs. Bounded by
+#: :data:`_RUN_MEMO_CAPACITY` — eviction only costs a possible
+#: granular-disk re-read, never correctness. Cleared by
 #: :func:`clear_run_memo` / :func:`repro.experiments.runner.clear_sweep_cache`.
 _RUN_MEMO: "OrderedDict[str, RunStats]" = OrderedDict()
 
@@ -179,30 +177,26 @@ class PlanStats:
     ``units_total`` counts units as *requested* (summed over specs,
     before dedup); every requested unit lands in exactly one of
     ``units_deduped`` (duplicate of an earlier unit in the same plan),
-    ``units_memo`` / ``units_disk`` / ``units_migrated`` (served from the
-    in-process memo, the granular store, or a legacy whole-sweep entry),
-    or ``units_simulated``.
+    ``units_memo`` / ``units_disk`` (served from the in-process memo or
+    the granular store), or ``units_simulated``.
 
     Attributes:
         units_total: Units requested across all specs, duplicates included.
         units_deduped: Duplicates folded away by :func:`build_plan`.
         units_memo: Units served from the in-process run memo.
-        units_disk: Units served from the granular on-disk store.
-        units_migrated: Units served from a legacy whole-sweep entry
-            (and re-stored granularly).
+        units_disk: Units served from the granular store.
         units_simulated: Units actually executed.
         stale: Unreadable granular entries encountered (re-simulated).
         quarantined: Unusable granular entries renamed aside (``.bad``)
             by the run cache; a subset of ``stale``.
-        schedule_wall_s: Planner overhead — wall time spent classifying,
-            migrating, and storing, excluding the simulations themselves.
+        schedule_wall_s: Planner overhead — wall time spent classifying
+            and storing, excluding the simulations themselves.
     """
 
     units_total: int = 0
     units_deduped: int = 0
     units_memo: int = 0
     units_disk: int = 0
-    units_migrated: int = 0
     units_simulated: int = 0
     stale: int = 0
     quarantined: int = 0
@@ -210,8 +204,8 @@ class PlanStats:
 
     @property
     def units_cached(self) -> int:
-        """Units served without simulation (memo + disk + migrated)."""
-        return self.units_memo + self.units_disk + self.units_migrated
+        """Units served without simulation (memo + disk)."""
+        return self.units_memo + self.units_disk
 
     def as_dict(self) -> Dict[str, float]:
         return {
@@ -221,7 +215,6 @@ class PlanStats:
             "units_deduped": self.units_deduped,
             "units_memo": self.units_memo,
             "units_disk": self.units_disk,
-            "units_migrated": self.units_migrated,
             "stale": self.stale,
             "quarantined": self.quarantined,
             "schedule_wall_s": self.schedule_wall_s,
@@ -238,41 +231,44 @@ class ExecutionPlan:
             canonical grid order, earlier specs first).
         stats: Filled in by :func:`build_plan` (totals) and
             :func:`execute_plan` (classification).
+        spec_units: Each source spec's own units in canonical grid
+            order (duplicates included), aligned with ``specs``.
     """
 
     specs: Tuple[SimSpec, ...]
     units: Tuple[RunUnit, ...]
     stats: PlanStats
+    spec_units: Tuple[Tuple[RunUnit, ...], ...]
 
     def grid_for(
         self, spec: SimSpec, results: Dict[str, RunStats]
     ) -> Dict[str, Dict[str, RunStats]]:
-        """Fan out executed results into one spec's canonical grid."""
-        return {
-            name: {
-                scheme: results[spec.run_hash(name, scheme)]
-                for scheme in spec.schemes
-            }
-            for name in spec.effective_workloads()
-        }
+        """Fan out executed results into one source spec's canonical grid."""
+        grid: Dict[str, Dict[str, RunStats]] = {}
+        for unit in self.spec_units[self.specs.index(spec)]:
+            grid.setdefault(unit.workload, {})[unit.scheme] = results[unit.key]
+        return grid
 
 
 def build_plan(specs: Sequence[SimSpec]) -> ExecutionPlan:
     """Union the specs' run units and dedupe them by content hash."""
     specs = tuple(specs)
     with maybe_span("plan.build", specs=len(specs)) as span:
+        spec_units = tuple(tuple(plan_units(spec)) for spec in specs)
         deduped: Dict[str, RunUnit] = {}
-        total = 0
-        for spec in specs:
-            for unit in plan_units(spec):
-                total += 1
-                if unit.key not in deduped:
-                    deduped[unit.key] = unit
-        units = tuple(deduped.values())
-        stats = PlanStats(units_total=total, units_deduped=total - len(units))
-        span.set_attr("units", len(units))
+        for units in spec_units:
+            for unit in units:
+                deduped.setdefault(unit.key, unit)
+        total = sum(len(units) for units in spec_units)
+        stats = PlanStats(units_total=total, units_deduped=total - len(deduped))
+        span.set_attr("units", len(deduped))
         span.set_attr("deduped", stats.units_deduped)
-    return ExecutionPlan(specs=specs, units=units, stats=stats)
+    return ExecutionPlan(
+        specs=specs,
+        units=tuple(deduped.values()),
+        stats=stats,
+        spec_units=spec_units,
+    )
 
 
 def lease_batch(
@@ -435,34 +431,25 @@ def _run_units_serial(
 def execute_plan(
     plan: ExecutionPlan,
     jobs: int = 1,
-    cache: Optional[SweepCache] = None,
-    telemetry: Optional[Telemetry] = None,
     store: Optional[RunStore] = None,
+    telemetry: Optional[Telemetry] = None,
 ) -> Dict[str, RunStats]:
-    """Resolve every unit of a plan: memo → store → migration → simulate.
+    """Resolve every unit of a plan: memo → store → simulate.
 
     Args:
         plan: The plan from :func:`build_plan`. Its ``stats`` are filled
             in as a side effect.
         jobs: Worker processes for the units that must actually run;
             1 executes in-process.
-        cache: Optional persistent :class:`SweepCache`; its *root*
-            locates both the granular per-run store (``runs/``) and the
-            legacy whole-sweep entries used for migration. Its counters
-            keep their historical run-level semantics (hits = runs
-            served from disk, misses = runs simulated).
+        store: Optional :class:`~repro.experiments.cache.RunStore`
+            serving the granular tier (``None``: memo only, nothing
+            persisted). Simulated runs are stored back into it.
         telemetry: Optional :class:`~repro.obs.Telemetry`; accumulates
             ``plan.*`` counters, (serial path) ``sweep_batch`` /
             ``run_unit`` tracer records, pipeline spans when a tracer is
             live, and — when it carries a
             :class:`~repro.obs.ledger.RunLedger` — one provenance record
             per planned unit, in plan order.
-        store: Optional explicit :class:`~repro.experiments.cache.RunStore`
-            serving the granular tier. Defaults to the
-            :class:`~repro.experiments.cache.RunCache` beside ``cache``
-            (when one is given); passing a store directly is how the
-            service layer plugs in non-filesystem backends. Migrated
-            runs are re-stored into whichever store is active.
 
     Returns:
         ``{unit.key: RunStats}`` covering every unit in the plan.
@@ -486,6 +473,16 @@ def execute_plan(
     cached_bytes: Dict[str, int] = {}
     raw_bytes: Dict[str, int] = {}
     provenance: Dict[str, Dict[str, Any]] = {}
+
+    def note_bytes(key: str) -> None:
+        """Record one stored entry's sizes for its ledger record."""
+        size = store.entry_bytes(key)
+        if size is not None:
+            cached_bytes[key] = size
+        raw = store.entry_raw_bytes(key)
+        if raw is not None:
+            raw_bytes[key] = raw
+
     with scope, maybe_span(
         "plan.execute", units=len(plan.units), jobs=jobs
     ) as plan_span:
@@ -503,86 +500,28 @@ def execute_plan(
                     pending.append(unit)
             span.set_attr("hits", len(plan.units) - len(pending))
 
-        run_cache: Optional[RunStore] = store
-        if run_cache is None and cache is not None:
-            run_cache = RunCache(cache.cache_dir)
-        if run_cache is not None and pending:
-            stale_before = run_cache.counters.stale
-            quarantined_before = run_cache.counters.quarantined
+        if store is not None and pending:
+            stale_before = store.counters.stale
+            quarantined_before = store.counters.quarantined
             missing: List[RunUnit] = []
             for unit in pending:
                 with maybe_span(
                     "cache.disk", workload=unit.workload, scheme=unit.scheme
                 ) as span:
-                    loaded = run_cache.load(unit.key)
+                    loaded = store.load(unit.key)
                     span.set_attr("hit", loaded is not None)
                 if loaded is not None:
                     results[unit.key] = loaded
                     stats.units_disk += 1
                     tiers[unit.key] = "disk"
-                    size = run_cache.entry_bytes(unit.key)
-                    if size is not None:
-                        cached_bytes[unit.key] = size
-                    raw = run_cache.entry_raw_bytes(unit.key)
-                    if raw is not None:
-                        raw_bytes[unit.key] = raw
+                    note_bytes(unit.key)
                 else:
                     missing.append(unit)
             pending = missing
-            stats.stale += run_cache.counters.stale - stale_before
+            stats.stale += store.counters.stale - stale_before
             stats.quarantined += (
-                run_cache.counters.quarantined - quarantined_before
+                store.counters.quarantined - quarantined_before
             )
-
-        if cache is not None and pending:
-            # Read-through migration: a legacy whole-sweep entry for any
-            # source spec can satisfy that spec's still-missing units; each
-            # migrated run is re-stored granularly so the next planner pass
-            # hits the per-run store directly.
-            with maybe_span("cache.migrate", pending=len(pending)) as span:
-                pending_by_key = {unit.key: unit for unit in pending}
-                peeked = set()
-                for spec in plan.specs:
-                    if not pending_by_key:
-                        break
-                    spec_key = spec.content_hash()
-                    if spec_key in peeked:
-                        continue
-                    peeked.add(spec_key)
-                    spec_units = [
-                        unit
-                        for unit in plan_units(spec)
-                        if unit.key in pending_by_key
-                    ]
-                    if not spec_units:
-                        continue
-                    grid = cache.peek(spec)
-                    if grid is None:
-                        continue
-                    for unit in spec_units:
-                        try:
-                            migrated = grid[unit.workload][unit.scheme]
-                        except KeyError:  # pragma: no cover - defensive
-                            continue
-                        results[unit.key] = migrated
-                        stats.units_migrated += 1
-                        tiers[unit.key] = "migrated"
-                        del pending_by_key[unit.key]
-                        if run_cache is not None:
-                            run_cache.store(unit.key, migrated)
-                            size = run_cache.entry_bytes(unit.key)
-                            if size is not None:
-                                cached_bytes[unit.key] = size
-                            raw = run_cache.entry_raw_bytes(unit.key)
-                            if raw is not None:
-                                raw_bytes[unit.key] = raw
-                span.set_attr("migrated", stats.units_migrated)
-            if stats.units_migrated:
-                _log.info(
-                    "migrated %d run(s) from whole-sweep cache entries",
-                    stats.units_migrated,
-                )
-            pending = [unit for unit in pending if unit.key in pending_by_key]
 
         execute_elapsed = 0.0
         if pending:
@@ -604,15 +543,10 @@ def execute_plan(
             stats.units_simulated += len(pending)
             for unit in pending:
                 tiers[unit.key] = "simulated"
-            if run_cache is not None:
+            if store is not None:
                 for unit in pending:
-                    run_cache.store(unit.key, simulated[unit.key])
-                    size = run_cache.entry_bytes(unit.key)
-                    if size is not None:
-                        cached_bytes[unit.key] = size
-                    raw = run_cache.entry_raw_bytes(unit.key)
-                    if raw is not None:
-                        raw_bytes[unit.key] = raw
+                    store.store(unit.key, simulated[unit.key])
+                    note_bytes(unit.key)
 
         for unit in plan.units:
             _memo_put(unit.key, results[unit.key])
@@ -621,15 +555,6 @@ def execute_plan(
         )
         plan_span.set_attr("simulated", stats.units_simulated)
         plan_span.set_attr("cached", stats.units_cached)
-
-    if cache is not None:
-        # Historical run-level accounting on the caller's SweepCache:
-        # disk-served runs (granular or migrated) are hits, simulated
-        # runs are misses. Memo hits never touched the disk, as before.
-        cache.counters.hits += stats.units_disk + stats.units_migrated
-        cache.counters.misses += stats.units_simulated
-        cache.counters.stale += stats.stale
-        cache.counters.quarantined += stats.quarantined
 
     if telemetry is not None and telemetry.metrics is not None:
         metrics = telemetry.metrics

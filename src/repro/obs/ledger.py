@@ -4,10 +4,9 @@ Where the metrics registry answers "how many units were cached?", the
 ledger answers "how was *this* unit resolved?": every
 :func:`~repro.experiments.planner.execute_plan` invocation appends one
 record per planned run unit stating its resolution tier (memo /
-granular disk cache / legacy whole-sweep migration / simulated), the
-engine, the fastpath speculation outcome, fault counters, in-worker
-wall time, the worker pid, and the size of the granular cache entry
-involved. ``readduo report`` aggregates these records into cache-tier
+granular disk cache / simulated), the engine, the fastpath speculation
+outcome, fault counters, in-worker wall time, the worker pid, and the
+size of the granular cache entry involved. ``readduo report`` aggregates these records into cache-tier
 hit ratios, speculation success rates, slowest-unit lists, and
 per-worker utilization (see docs/OBSERVABILITY.md).
 

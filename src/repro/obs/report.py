@@ -32,12 +32,17 @@ __all__ = [
     "render_bench_report",
 ]
 
-#: Resolution tiers in report order (matches the ledger schema enum).
-TIERS = ("memo", "disk", "migrated", "simulated")
+#: Resolution tiers in report order.
+TIERS = ("memo", "disk", "simulated")
 
 
 def parse_ledger_lines(lines: Sequence[str]) -> List[Dict[str, Any]]:
-    """Parse ledger JSONL text into unit records (non-``run`` kinds skipped)."""
+    """Parse ledger JSONL text into unit records (non-``run`` kinds skipped).
+
+    Ledgers written while a whole-sweep cache still existed may carry
+    ``tier: "migrated"`` — runs read from that cache on disk — which is
+    folded into ``"disk"``.
+    """
     records: List[Dict[str, Any]] = []
     for line in lines:
         line = line.strip()
@@ -48,6 +53,8 @@ def parse_ledger_lines(lines: Sequence[str]) -> List[Dict[str, Any]]:
         except ValueError:
             continue
         if isinstance(record, dict) and record.get("kind") == LEDGER_RECORD_KIND:
+            if record.get("tier") == "migrated":
+                record["tier"] = "disk"
             records.append(record)
     return records
 
@@ -113,7 +120,7 @@ def summarize_ledger(
                 fastpath[outcome] = fastpath.get(outcome, 0) + 1
 
     n_units = len(first_by_hash)
-    cached = sum(unit_tiers[t] for t in ("memo", "disk", "migrated"))
+    cached = unit_tiers["memo"] + unit_tiers["disk"]
     attempts = fastpath.get("speculated", 0) + fastpath.get("fallback", 0)
     success_rate = (
         fastpath.get("speculated", 0) / attempts if attempts else None

@@ -6,7 +6,7 @@ telemetry. This package owns that wiring once, behind two surfaces:
 
 * :class:`ExecutionService` (:mod:`repro.service.execution`) — the
   in-process facade: ``submit(specs) -> results`` through the full
-  memo → store → migration → simulate hierarchy, plus the session
+  memo → store → simulate hierarchy, plus the session
   plumbing the CLI subcommands ride (``readduo run/sweep/faults`` are
   thin clients of this class);
 * :mod:`repro.service.server` — ``readduo serve``, the asyncio
@@ -32,19 +32,14 @@ docs/DISTRIBUTED.md for the lease protocol and its runbook.
 """
 
 from .execution import ExecutionOutcome, ExecutionService, sweep_payload
-from .store import (
-    FilesystemRunStore,
-    MemoryRunStore,
-    RemoteRunStore,
-    RunStore,
-)
+from .store import MemoryRunStore, RemoteRunStore, RunCache, RunStore
 
 __all__ = [
     "ExecutionOutcome",
     "ExecutionService",
     "sweep_payload",
     "RunStore",
-    "FilesystemRunStore",
+    "RunCache",
     "MemoryRunStore",
     "RemoteRunStore",
 ]

@@ -1,9 +1,9 @@
 """The :class:`ExecutionService` facade: one owner for execution wiring.
 
 Before this layer existed, every CLI subcommand hand-wired the same
-stack — build a plan, resolve it through the memo/disk/migration cache
+stack — build a plan, resolve it through the memo → run-store cache
 hierarchy, pick serial vs the work-stealing pool, thread telemetry
-through, restore the process-wide sweep defaults afterwards. The service
+through, restore the process-wide sweep wiring afterwards. The service
 owns all of that behind a handful of methods:
 
 * :meth:`ExecutionService.submit` — the core API: any sequence of
@@ -13,7 +13,7 @@ owns all of that behind a handful of methods:
   ``readduo sweep`` payload comes from :func:`sweep_payload` over it);
 * :meth:`ExecutionService.session` / :meth:`run_experiment` /
   :meth:`prewarm` — the ``readduo run`` workflow: install this
-  service's jobs/cache/telemetry as the process-wide sweep defaults,
+  service as the one :func:`~repro.experiments.runner.run_sweep` uses,
   union all requested artifacts' specs, execute each distinct unit
   once, then let the figure drivers render from the prewarmed memo;
 * :meth:`ExecutionService.fault_density_study` — the ``readduo faults``
@@ -29,6 +29,7 @@ request coalescing and backpressure on top.
 
 from __future__ import annotations
 
+import time
 from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
@@ -39,13 +40,12 @@ from typing import (
     Mapping,
     Optional,
     Sequence,
-    Tuple,
     Union,
 )
 
 from ..memsim.stats import RunStats
 from ..obs import Telemetry, get_logger
-from ..experiments.cache import RunStore, SweepCache
+from ..experiments.cache import RunCache, RunStore
 from ..experiments.planner import (
     ExecutionPlan,
     build_plan,
@@ -56,13 +56,29 @@ from ..experiments.planner import (
 )
 from ..experiments.spec import SimSpec
 
-__all__ = ["ExecutionOutcome", "ExecutionService", "sweep_payload"]
+__all__ = [
+    "ExecutionOutcome",
+    "ExecutionService",
+    "session_service",
+    "sweep_payload",
+]
 
 _log = get_logger("service.execution")
 
-#: ``cache=`` accepts the same shapes the runner does: True (default
-#: location), False/None (no persistent cache), a path, or an instance.
-CacheSpec = Union[None, bool, str, Path, SweepCache]
+#: ``cache=`` accepts True (a :class:`RunCache` at the default location),
+#: False/None (no persistent store), a path (a :class:`RunCache` root), or
+#: any :class:`RunStore`.
+CacheSpec = Union[None, bool, str, Path, RunStore]
+
+
+def _resolve_store(cache: CacheSpec) -> Optional[RunStore]:
+    if cache is None or cache is False:
+        return None
+    if cache is True:
+        return RunCache()
+    if isinstance(cache, RunStore):
+        return cache
+    return RunCache(cache)
 
 
 @dataclass
@@ -71,7 +87,7 @@ class ExecutionOutcome:
 
     Attributes:
         plan: The executed plan; ``plan.stats`` carries the tier
-            accounting (total/deduped/memo/disk/migrated/simulated).
+            accounting (total/deduped/memo/disk/simulated).
         results: ``{run_hash: RunStats}`` for every distinct unit.
     """
 
@@ -123,14 +139,13 @@ class ExecutionService:
     Args:
         jobs: Worker processes for units that must simulate (1 =
             in-process serial, the default).
-        cache: Persistent cache control — ``True`` for the default
-            location (``results/.sweep-cache/``), ``False``/``None``
-            to disable, a path or :class:`SweepCache` for a specific
-            root. The cache root also locates the granular per-run
-            store and legacy whole-sweep entries for migration.
-        store: Optional explicit :class:`RunStore` for the granular
-            tier (e.g. :class:`~repro.service.store.MemoryRunStore`);
-            overrides the store derived from ``cache``.
+        cache: The granular run store — ``True`` for a
+            :class:`RunCache` at the default location
+            (``results/.sweep-cache/runs/``), ``False``/``None`` to
+            disable, a path for a :class:`RunCache` rooted there, or any
+            :class:`RunStore` (e.g.
+            :class:`~repro.service.store.MemoryRunStore`). Resolved once
+            into :attr:`store`.
         telemetry: Optional :class:`~repro.obs.Telemetry` observed by
             every plan this service executes.
         memo_capacity: When given, re-bounds the planner's in-process
@@ -148,7 +163,6 @@ class ExecutionService:
         self,
         jobs: int = 1,
         cache: CacheSpec = True,
-        store: Optional[RunStore] = None,
         telemetry: Optional[Telemetry] = None,
         memo_capacity: Optional[int] = None,
     ) -> None:
@@ -156,26 +170,10 @@ class ExecutionService:
             raise ValueError("jobs must be >= 1")
         self.jobs = int(jobs)
         self.telemetry = telemetry
-        self.store = store
-        self._cache = self._resolve_cache(cache)
+        self.store = _resolve_store(cache)
         self._previous_memo_capacity: Optional[int] = None
         if memo_capacity is not None:
             self._previous_memo_capacity = set_run_memo_capacity(memo_capacity)
-
-    @staticmethod
-    def _resolve_cache(cache: CacheSpec) -> Optional[SweepCache]:
-        if cache is None or cache is False:
-            return None
-        if cache is True:
-            return SweepCache()
-        if isinstance(cache, SweepCache):
-            return cache
-        return SweepCache(cache)
-
-    @property
-    def cache(self) -> Optional[SweepCache]:
-        """The persistent sweep cache in use, or ``None``."""
-        return self._cache
 
     # ------------------------------------------------------------ lifecycle
 
@@ -210,68 +208,72 @@ class ExecutionService:
         """Plan, dedupe, and fully resolve a batch of specs.
 
         Every distinct (workload, scheme) run across all specs resolves
-        through memo → granular store → whole-sweep migration →
-        simulation (serial or the work-stealing pool, per ``jobs``).
+        through memo → run store → simulation (serial or the
+        work-stealing pool, per ``jobs``).
         Identical work across specs — and across *calls*, via the memo
         and persistent store — executes exactly once.
         """
         plan = build_plan(specs)
         results = execute_plan(
-            plan,
-            jobs=self.jobs,
-            cache=self._cache,
-            telemetry=self.telemetry,
-            store=self.store,
+            plan, jobs=self.jobs, store=self.store, telemetry=self.telemetry
         )
         return ExecutionOutcome(plan=plan, results=results)
 
     def sweep(self, settings: SimSpec) -> Mapping[str, Mapping[str, RunStats]]:
         """One spec's canonical ``{workload: {scheme: RunStats}}`` grid.
 
-        With the default (filesystem) store this delegates to
-        :func:`~repro.experiments.runner.run_sweep`, keeping the
-        per-settings grid memo, whole-sweep store-back, and sweep
-        telemetry counters exactly as the CLI always emitted them. With
-        an explicit ``store`` the grid is assembled from :meth:`submit`
-        (no whole-sweep entries are written — the granular store is the
-        only persistence).
+        Resolved through :meth:`submit`. With live telemetry the sweep
+        also counts ``sweep.cache_hits`` / ``sweep.runs_simulated`` /
+        ``sweep.sweeps`` / ``sweep.last_wall_s`` and, when nothing had to
+        simulate, emits a ``sweep_cache`` tracer record.
         """
-        if self.store is not None:
-            outcome = self.submit([settings])
-            return outcome.grid_for(settings)
-        from ..experiments.runner import run_sweep
-
-        return run_sweep(
-            settings,
-            jobs=self.jobs,
-            cache=self._cache if self._cache is not None else False,
-            telemetry=self.telemetry,
+        n_workloads = len(settings.effective_workloads())
+        n_runs = len(settings.schemes) * n_workloads
+        _log.info(
+            "sweep start: %d workloads x %d schemes, %d job(s)",
+            n_workloads, len(settings.schemes), self.jobs,
         )
+        start = time.perf_counter()
+        outcome = self.submit([settings])
+        total = time.perf_counter() - start
+        simulated = outcome.stats.units_simulated
+        cached = outcome.stats.units_cached
+        _log.info(
+            "sweep done: %d runs (%d simulated, %d cached) in %.2fs",
+            n_runs, simulated, cached, total,
+        )
+        telemetry = self.telemetry
+        if simulated == 0 and telemetry is not None and telemetry.tracer is not None:
+            telemetry.tracer.emit(
+                {"kind": "sweep_cache", "result": "hit", "runs": n_runs}
+            )
+        if telemetry is not None and telemetry.metrics is not None:
+            metrics = telemetry.metrics
+            if cached:
+                metrics.counter("sweep.cache_hits").inc(cached)
+            if simulated:
+                metrics.counter("sweep.runs_simulated").inc(simulated)
+                metrics.counter("sweep.sweeps").inc()
+                metrics.gauge("sweep.last_wall_s").set(total)
+        return outcome.grid_for(settings)
 
     # ------------------------------------------------------- run workflow
 
     @contextmanager
     def session(self) -> Iterator["ExecutionService"]:
-        """Install this service's wiring as the process sweep defaults.
+        """Install this service as the one :func:`session_service` returns.
 
         Figure/ablation drivers call ``run_sweep`` internally with no
-        jobs/cache/telemetry arguments; inside a session those calls
-        resolve to this service's configuration. The previous defaults
-        are restored on exit, keeping callers reentrant.
+        jobs/cache/telemetry arguments; inside a session those calls run
+        on this service. The previously installed service is restored on
+        exit, keeping callers reentrant.
         """
-        from ..experiments.runner import configure_sweep_defaults
-
-        previous = configure_sweep_defaults(
-            jobs=self.jobs,
-            cache=self._cache if self._cache is not None else False,
-            telemetry=self.telemetry,
-        )
+        global _SESSION
+        previous, _SESSION = _SESSION, self
         try:
             yield self
         finally:
-            configure_sweep_defaults(
-                jobs=previous[0], cache=previous[1], telemetry=previous[2]
-            )
+            _SESSION = previous
 
     def prewarm(
         self,
@@ -310,21 +312,11 @@ class ExecutionService:
             specs.extend(collector(**kwargs))
         if not specs:
             return None
-        plan = build_plan(specs)
+        plan = self.submit(specs).plan
         _log.info(
-            "planned %d distinct run unit(s) from %d spec(s) "
-            "(%d duplicate(s) folded)",
+            "plan executed: %d distinct run unit(s) from %d spec(s) "
+            "(%d duplicate(s) folded), %d simulated, %d cached",
             len(plan.units), len(specs), plan.stats.units_deduped,
-        )
-        execute_plan(
-            plan,
-            jobs=self.jobs,
-            cache=self._cache,
-            telemetry=self.telemetry,
-            store=self.store,
-        )
-        _log.info(
-            "plan executed: %d simulated, %d cached",
             plan.stats.units_simulated, plan.stats.units_cached,
         )
         return plan
@@ -362,7 +354,9 @@ class ExecutionService:
         """Operational snapshot (the daemon's ``/v1/stats`` backbone)."""
         return {
             "jobs": self.jobs,
-            "cache_dir": str(self._cache.cache_dir) if self._cache else None,
+            "cache_dir": (
+                str(self.store.root) if isinstance(self.store, RunCache) else None
+            ),
             # `is not None`, not truthiness: an *empty* MemoryRunStore
             # has __len__() == 0 and would otherwise report as absent.
             "store": type(self.store).__name__ if self.store is not None else None,
@@ -370,6 +364,26 @@ class ExecutionService:
         }
 
 
-def plan_pairs(plan: ExecutionPlan) -> Tuple[Tuple[str, str], ...]:
-    """The (workload, scheme) pairs of a plan, in unit order."""
-    return tuple((unit.workload, unit.scheme) for unit in plan.units)
+#: The service :func:`~repro.experiments.runner.run_sweep` runs on: the
+#: one :meth:`ExecutionService.session` installed, else serial, with no
+#: persistent store and no telemetry.
+_SESSION = ExecutionService(jobs=1, cache=False)
+
+
+def session_service(
+    jobs: Optional[int] = None,
+    cache: CacheSpec = None,
+    telemetry: Optional[Telemetry] = None,
+) -> ExecutionService:
+    """The installed session service; given arguments override its own.
+
+    ``None`` keeps the session's value for that argument (so
+    ``cache=False`` is how a caller turns the session's store off).
+    """
+    if jobs is None and cache is None and telemetry is None:
+        return _SESSION
+    return ExecutionService(
+        jobs=_SESSION.jobs if jobs is None else jobs,
+        cache=_SESSION.store if cache is None else cache,
+        telemetry=_SESSION.telemetry if telemetry is None else telemetry,
+    )

@@ -64,17 +64,11 @@ from ..core.registry import scheme_catalog
 from ..memsim.stats import RunStats
 from ..obs import Telemetry, get_logger
 from ..obs.ledger import RunLedger
-from ..experiments.cache import RunStore
 from ..experiments.planner import PlanStats, RunUnit, lookup_cached, plan_units
 from ..experiments.spec import SimSpec, SpecError
 from .coordinator import LeaseCoordinator
 from .execution import CacheSpec, ExecutionService, sweep_payload
-from .store import (
-    FilesystemRunStore,
-    MemoryRunStore,
-    parse_store_entry,
-    store_entry_payload,
-)
+from .store import MemoryRunStore, parse_store_entry, store_entry_payload
 
 __all__ = ["ServeConfig", "SimServer", "run_server"]
 
@@ -190,7 +184,6 @@ class SimServer:
         self._loop: Optional[asyncio.AbstractEventLoop] = None
         self._executor: Optional[ThreadPoolExecutor] = None
         self.service: Optional[ExecutionService] = None
-        self.run_store: Optional[RunStore] = None
         self.coordinator: Optional[LeaseCoordinator] = None
         self._dist_plan: Optional[int] = None
         #: One future per in-flight run unit, keyed by run hash.
@@ -229,20 +222,18 @@ class SimServer:
             thread_name_prefix="readduo-exec",
         )
         ledger = _RelayLedger(self.config.ledger, self._relay_record)
+        # The service's store also backs GET/PUT /v1/store/{hash}: the
+        # on-disk run store when persistence is on, an in-process store
+        # otherwise, so workers share one cache either way.
+        cache = self.config.cache
+        if cache is None or cache is False:
+            cache = MemoryRunStore()
         self.service = ExecutionService(
             jobs=self.config.jobs,
-            cache=self.config.cache,
+            cache=cache,
             telemetry=Telemetry(ledger=ledger),
             memo_capacity=self.config.memo_capacity,
         )
-        # The shared granular store behind GET/PUT /v1/store/{hash}: the
-        # cache-backed run store when persistence is on, an in-process
-        # store otherwise, so workers share one cache either way.
-        if self.service.cache is not None:
-            self.run_store = FilesystemRunStore(self.service.cache.cache_dir)
-        else:
-            self.run_store = MemoryRunStore()
-        self.service.store = self.run_store
         if self.config.distributed:
             self.coordinator = LeaseCoordinator(
                 ttl_s=self.config.lease_ttl_s,
@@ -482,10 +473,7 @@ class SimServer:
                 "max_inflight_per_client": self.config.max_inflight_per_client,
                 "executor_workers": max(1, self.config.executor_workers),
             },
-            "store": (
-                type(self.run_store).__name__
-                if self.run_store is not None else None
-            ),
+            "store": type(self.service.store).__name__,
             "distributed": self.config.distributed,
             "coordinator": (
                 self.coordinator.snapshot()
@@ -498,8 +486,8 @@ class SimServer:
     async def _handle_store_get(
         self, key: str, writer: asyncio.StreamWriter
     ) -> None:
-        assert self.run_store is not None
-        stats = self.run_store.load(key)
+        assert self.service is not None
+        stats = self.service.store.load(key)
         if stats is None:
             await _send_json(writer, 404, {"error": f"no entry for {key}"})
             return
@@ -510,7 +498,7 @@ class SimServer:
     async def _handle_store_put(
         self, key: str, body: bytes, writer: asyncio.StreamWriter
     ) -> None:
-        assert self.run_store is not None
+        assert self.service is not None
         try:
             payload = json.loads(body.decode("utf-8") or "{}")
         except ValueError as exc:
@@ -523,7 +511,7 @@ class SimServer:
         if stats is None:
             await _send_json(writer, 400, {"error": "unusable store entry"})
             return
-        self.run_store.store(key, stats)
+        self.service.store.store(key, stats)
         await _send_json(writer, 200, {"stored": key})
 
     # ------------------------------------------------- distributed protocol
@@ -622,8 +610,8 @@ class SimServer:
         self, unit: RunUnit, stats: RunStats, meta: Dict[str, Any]
     ) -> None:
         """Coordinator hook: persist + ledger one worker-resolved unit."""
-        assert self.run_store is not None
-        self.run_store.store(unit.key, stats)
+        assert self.service is not None
+        self.service.store.store(unit.key, stats)
         ledger = (
             self.service.telemetry.ledger
             if self.service is not None and self.service.telemetry is not None
@@ -634,7 +622,7 @@ class SimServer:
         if self._dist_plan is None:
             self._dist_plan = ledger.begin_plan()
         tier = meta.get("tier")
-        if tier not in ("memo", "disk", "migrated", "simulated"):
+        if tier not in ("memo", "disk", "simulated"):
             tier = "simulated"
         engine = meta.get("engine")
         if engine not in ("batch", "event"):
@@ -648,8 +636,8 @@ class SimServer:
             engine=engine,
             fastpath=meta.get("fastpath"),
             wall_s=meta.get("wall_s"),
-            cached_bytes=self.run_store.entry_bytes(unit.key),
-            raw_bytes=self.run_store.entry_raw_bytes(unit.key),
+            cached_bytes=self.service.store.entry_bytes(unit.key),
+            raw_bytes=self.service.store.entry_raw_bytes(unit.key),
             worker=meta.get("worker"),
             lease=meta.get("lease"),
         )
@@ -858,11 +846,10 @@ class SimServer:
             self.service is not None
             and self.coordinator is not None
             and self._loop is not None
-            and self.run_store is not None
         )
         stats = PlanStats(units_total=len(owned))
         cached, tiers = await self._loop.run_in_executor(
-            self._executor, lookup_cached, owned, self.run_store
+            self._executor, lookup_cached, owned, self.service.store
         )
         ledger = (
             self.service.telemetry.ledger
@@ -890,11 +877,11 @@ class SimServer:
                     tier=tier,
                     engine=unit.spec.engine,
                     cached_bytes=(
-                        self.run_store.entry_bytes(unit.key)
+                        self.service.store.entry_bytes(unit.key)
                         if on_disk else None
                     ),
                     raw_bytes=(
-                        self.run_store.entry_raw_bytes(unit.key)
+                        self.service.store.entry_raw_bytes(unit.key)
                         if on_disk else None
                     ),
                 )

@@ -5,8 +5,9 @@ defined beside the filesystem implementation it was extracted from, so
 the planner can depend on it without importing the service layer; this
 module collects the concrete backends a service picks from:
 
-* :class:`FilesystemRunStore` — the historical granular on-disk cache
-  (one JSON file per run under ``<root>/runs/``), unchanged;
+* :class:`~repro.experiments.cache.RunCache` — the granular on-disk
+  cache (one JSON file per run under ``<root>/runs/``), the default
+  backend every CLI invocation uses;
 * :class:`MemoryRunStore` — entries held in-process as serialized JSON.
   Useful for tests, for hermetic daemons, and as the reference for what
   a remote backend must do: round-trip :class:`RunStats` bit-for-bit
@@ -21,7 +22,7 @@ module collects the concrete backends a service picks from:
 
 Every backend implements the same four methods and plugs into
 :func:`~repro.experiments.planner.execute_plan` via its ``store=``
-parameter or :class:`~repro.service.ExecutionService`'s ``store=``
+parameter or :class:`~repro.service.ExecutionService`'s ``cache=``
 argument; nothing else in the execution stack changes.
 """
 
@@ -38,7 +39,7 @@ from ..obs import get_logger
 
 __all__ = [
     "RunStore",
-    "FilesystemRunStore",
+    "RunCache",
     "MemoryRunStore",
     "RemoteRunStore",
     "STORE_WIRE_FORMAT",
@@ -50,12 +51,6 @@ _log = get_logger("service.store")
 
 #: Version of the ``/v1/store`` JSON body shape (both directions).
 STORE_WIRE_FORMAT = 1
-
-
-#: The granular on-disk store under ``<sweep-cache root>/runs/``; the
-#: default backend every CLI invocation uses. Exported under its
-#: service-layer role name — the class is the same object.
-FilesystemRunStore = RunCache
 
 
 class MemoryRunStore(RunStore):
@@ -156,7 +151,7 @@ class RemoteRunStore(RunStore):
     Args:
         base_url: Daemon endpoint, e.g. ``http://127.0.0.1:8787``.
         local: Optional local store (typically a
-            :class:`FilesystemRunStore`) consulted before the network
+            :class:`~repro.experiments.cache.RunCache`) consulted before the network
             and kept warm by remote hits.
         timeout_s: Per-request socket timeout.
         client_id: Optional identity sent as ``X-Client-Id`` (the

@@ -33,7 +33,7 @@ from ..obs import Telemetry, get_logger
 from ..obs.ledger import RunLedger
 from ..experiments.spec import SimSpec, SpecError
 from .execution import CacheSpec, ExecutionService
-from .store import FilesystemRunStore, RemoteRunStore
+from .store import RemoteRunStore
 
 __all__ = ["WorkerConfig", "run_worker"]
 
@@ -233,14 +233,10 @@ def run_worker(config: Optional[WorkerConfig] = None) -> int:
         telemetry=Telemetry(ledger=capture),
         memo_capacity=config.memo_capacity,
     )
-    local = (
-        FilesystemRunStore(service.cache.cache_dir)
-        if service.cache is not None else None
+    # The daemon's shared store, read through the local one (if any).
+    service.store = RemoteRunStore(
+        config.coordinator, local=service.store, client_id=worker_id
     )
-    remote = RemoteRunStore(
-        config.coordinator, local=local, client_id=worker_id
-    )
-    service.store = remote
     _log.info(
         "worker %s polling %s:%d (jobs=%d, max_units=%d)",
         worker_id, link.host, link.port, config.jobs, config.max_units,

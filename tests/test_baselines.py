@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.tlc import TlcPolicy
-from repro.core.schemes import PolicyContext
+from repro.core.policies import PolicyContext
 from repro.memsim.config import DEFAULT_EPOCH_S
 from repro.memsim.policy import ReadMode
 from repro.pcm.area import tlc_line_budget

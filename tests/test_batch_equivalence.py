@@ -17,7 +17,7 @@ import numpy as np
 import pytest
 
 from repro.core.registry import make_policy, scheme_names
-from repro.core.schemes import PolicyContext
+from repro.core.policies import PolicyContext
 from repro.memsim.config import MemoryConfig
 from repro.memsim.engine import ENGINES, simulate
 from repro.traces.generator import generate_trace
@@ -203,13 +203,12 @@ def test_granular_cache_entries_byte_identical(tmp_path):
     Cached artifacts therefore stay valid across engines, which is the
     load-bearing fact behind keeping ``engine`` out of the content hash.
     """
-    from repro.experiments.cache import SweepCache
     from repro.experiments.runner import clear_sweep_cache, run_sweep
 
     dirs = {}
     for engine in ENGINES:
         clear_sweep_cache()
-        cache = SweepCache(tmp_path / engine)
+        cache = tmp_path / engine
         run_sweep(_sweep_spec(engine), jobs=1, cache=cache)
         runs_dir = tmp_path / engine / "runs"
         dirs[engine] = {
@@ -222,7 +221,7 @@ def test_granular_cache_entries_byte_identical(tmp_path):
 
     # And a replay from the scalar-produced cache serves the batch spec.
     clear_sweep_cache()
-    cache = SweepCache(tmp_path / "event")
+    cache = tmp_path / "event"
     replayed = run_sweep(_sweep_spec("batch"), jobs=1, cache=cache)
     clear_sweep_cache()
     fresh = run_sweep(_sweep_spec("batch"), jobs=1, cache=False)

@@ -136,7 +136,9 @@ class TestSweepExecutionFlags:
         argv = ["sweep", "--requests", "800", "--schemes", "Ideal",
                 "--workloads", "gcc", "--output", str(tmp_path / "out.json")]
         assert main(argv) == 0
-        entries = list((tmp_path / "cache").glob("*.json"))
+        # A cold sweep writes one run entry and nothing else at the root.
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == ["runs"]
+        entries = list((tmp_path / "cache" / "runs").glob("*.json"))
         assert len(entries) == 1
         first = (tmp_path / "out.json").read_text()
         clear_sweep_cache()

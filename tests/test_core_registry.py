@@ -17,7 +17,7 @@ from repro.core.registry import (
     unregister_scheme,
 )
 from repro.core.policies import IdealPolicy, PolicyContext
-from repro.core.schemes import SCHEME_NAMES
+from repro.core import SCHEME_NAMES
 from repro.traces.spec import workload
 
 
@@ -60,8 +60,8 @@ class TestBuiltinRegistrations:
         [
             ("lwt-8", "LWT-8"),
             ("readduo-lwt-8-noconv", "LWT-8-noconv"),
-            ("select-6:3", "Select-6:3"),
-            ("readduo-select-6:3", "Select-6:3"),
+            ("select-8:3", "Select-8:3"),
+            ("readduo-select-8:3", "Select-8:3"),
         ],
     )
     def test_parameterized_aliases_beyond_listed_names(self, alias, expected):
@@ -192,12 +192,12 @@ class TestPluginScheme:
     def test_sweeps_through_runner_without_core_edits(self, dummy_scheme,
                                                       small_config):
         from repro.experiments.runner import (
-            SweepSettings,
+            SimSpec,
             clear_sweep_cache,
             run_sweep,
         )
 
-        settings = SweepSettings(
+        settings = SimSpec(
             schemes=("DummyTest",),
             workloads=("gcc",),
             target_requests=600,
@@ -287,9 +287,9 @@ class TestPluginScheme:
         assert not unregister_scheme("DummyTest")
 
     def test_resolve_scheme_returns_family_and_params(self):
-        family, params = resolve_scheme("LWT-6-noconv")
-        assert params == {"k": 6, "conversion_enabled": False}
-        assert family.canonical(params) == "LWT-6-noconv"
+        family, params = resolve_scheme("LWT-8-noconv")
+        assert params == {"k": 8, "conversion_enabled": False}
+        assert family.canonical(params) == "LWT-8-noconv"
 
 
 class TestVariantSyntaxes:
@@ -372,6 +372,24 @@ class TestVariantSyntaxes:
         assert not is_scheme_name(canonical_scheme_name(name))
         with pytest.raises(SpecError, match="unknown schemes"):
             SimSpec(schemes=(name,), workloads=("gcc",))
+
+    @pytest.mark.parametrize(
+        "name",
+        ["LWT-0", "LWT-1", "LWT-3", "LWT-6-noconv", "Select-3:1",
+         "Select-4:0", "Select-6:2"],
+    )
+    def test_impossible_tracker_geometry_is_a_spec_error(self, name):
+        # k must be a power of two >= 2 and s >= 1; the policy would
+        # reject these at construction, so the name must not resolve.
+        from repro.experiments.spec import SimSpec, SpecError
+
+        assert not is_scheme_name(name)
+        with pytest.raises(SpecError, match="unknown schemes"):
+            SimSpec(schemes=(name,), workloads=("gcc",))
+
+    def test_enumerating_an_impossible_k_raises(self):
+        with pytest.raises(ValueError):
+            enumerate_family("LWT-<k>[-noconv]", {"k": [3]})
 
     def test_nested_trunc_is_rejected_without_recursion(self):
         import time

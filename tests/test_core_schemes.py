@@ -3,17 +3,17 @@
 import numpy as np
 import pytest
 
-from repro.core.schemes import (
+from repro.core import SCHEME_NAMES
+from repro.core.policies import (
     HybridPolicy,
     IdealPolicy,
     LwtPolicy,
     MMetricPolicy,
     PolicyContext,
-    SCHEME_NAMES,
     ScrubbingPolicy,
     SelectPolicy,
-    make_policy,
 )
+from repro.core.registry import make_policy
 from repro.core.policies.base import classify_r_read
 from repro.memsim.config import DEFAULT_EPOCH_S, MemoryConfig
 from repro.memsim.policy import MODE_R, MODE_RM, ReadMode

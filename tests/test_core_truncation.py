@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from repro.core.schemes import PolicyContext, make_policy
+from repro.core.policies import PolicyContext
+from repro.core.registry import make_policy
 from repro.core.truncation import WriteTruncationWrapper
 from repro.memsim.config import MemoryConfig
 from repro.memsim.engine import simulate

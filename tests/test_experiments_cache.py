@@ -1,12 +1,13 @@
-"""Tests for the persistent on-disk sweep cache."""
+"""Tests for the persistent on-disk run cache."""
 
 import dataclasses
 import json
 
 import pytest
 
-from repro.experiments.cache import SweepCache, settings_key
-from repro.experiments.runner import SweepSettings, clear_sweep_cache, run_sweep
+from repro.experiments.cache import RunCache
+from repro.experiments.runner import clear_sweep_cache, run_sweep
+from repro.experiments.spec import SimSpec
 from repro.memsim.config import MemoryConfig
 from repro.pcm.params import TimingParams
 
@@ -18,7 +19,7 @@ def clean_cache():
     clear_sweep_cache()
 
 
-SMALL = SweepSettings(
+SMALL = SimSpec(
     schemes=("Ideal", "Hybrid"),
     workloads=("gcc",),
     target_requests=1_200,
@@ -33,38 +34,47 @@ def _flat(grid):
     ]
 
 
+def _reload(root, spec):
+    """Read one spec's grid back from a fresh RunCache at ``root``."""
+    cache = RunCache(root)
+    return {
+        w: {s: cache.load(spec.run_hash(w, s)) for s in spec.schemes}
+        for w in spec.effective_workloads()
+    }
+
+
 class TestSettingsKey:
+    """A spec's settings key is :meth:`SimSpec.content_hash`."""
+
     def test_stable_for_equal_settings(self):
-        assert settings_key(SMALL) == settings_key(
-            SweepSettings(
-                schemes=("Ideal", "Hybrid"),
-                workloads=("gcc",),
-                target_requests=1_200,
-            )
-        )
+        assert SMALL.content_hash() == SimSpec(
+            schemes=("Ideal", "Hybrid"),
+            workloads=("gcc",),
+            target_requests=1_200,
+        ).content_hash()
 
     def test_explicit_all_workloads_equals_default(self):
         # The default () expands to all workloads; listing them explicitly
-        # must hit the same cache entry.
-        default = SweepSettings(schemes=("Ideal",))
-        explicit = SweepSettings(
+        # must hash the same.
+        default = SimSpec(schemes=("Ideal",))
+        explicit = SimSpec(
             schemes=("Ideal",), workloads=default.effective_workloads()
         )
-        assert settings_key(default) == settings_key(explicit)
+        assert default.content_hash() == explicit.content_hash()
 
     def test_each_sweep_parameter_changes_the_key(self):
-        base = settings_key(SMALL)
+        base = SMALL.content_hash()
         variants = [
-            SweepSettings(schemes=("Ideal",), workloads=("gcc",),
-                          target_requests=1_200),
-            SweepSettings(schemes=SMALL.schemes, workloads=("mcf",),
-                          target_requests=1_200),
-            SweepSettings(schemes=SMALL.schemes, workloads=("gcc",),
-                          target_requests=2_400),
-            SweepSettings(schemes=SMALL.schemes, workloads=("gcc",),
-                          target_requests=1_200, seed=7),
+            SimSpec(schemes=("Ideal",), workloads=("gcc",),
+                    target_requests=1_200),
+            SimSpec(schemes=SMALL.schemes, workloads=("mcf",),
+                    target_requests=1_200),
+            SimSpec(schemes=SMALL.schemes, workloads=("gcc",),
+                    target_requests=2_400),
+            SimSpec(schemes=SMALL.schemes, workloads=("gcc",),
+                    target_requests=1_200, seed=7),
         ]
-        keys = {settings_key(v) for v in variants}
+        keys = {v.content_hash() for v in variants}
         assert base not in keys and len(keys) == len(variants)
 
     @pytest.mark.parametrize(
@@ -77,43 +87,41 @@ class TestSettingsKey:
         ],
     )
     def test_any_config_field_invalidates(self, change):
-        changed = SweepSettings(
+        changed = SimSpec(
             schemes=SMALL.schemes,
             workloads=SMALL.workloads,
             target_requests=SMALL.target_requests,
             config=dataclasses.replace(MemoryConfig(), **change),
         )
-        assert settings_key(changed) != settings_key(SMALL)
+        assert changed.content_hash() != SMALL.content_hash()
 
     def test_version_is_part_of_the_key(self, monkeypatch):
-        # settings_key delegates to SimSpec.content_hash, which reads the
-        # package version through the spec module's global.
+        # content_hash reads the package version through the spec
+        # module's global.
         import repro.experiments.spec as spec_mod
 
-        base = settings_key(SMALL)
+        base = SMALL.content_hash()
         monkeypatch.setattr(spec_mod, "__version__", "0.0.0-test")
-        assert settings_key(SMALL) != base
+        assert SMALL.content_hash() != base
 
 
 class TestRoundTrip:
     def test_store_then_fresh_instance_reload_bit_for_bit(self, tmp_path):
-        grid = run_sweep(SMALL, jobs=1, cache=SweepCache(tmp_path))
-        reloaded = SweepCache(tmp_path).load(SMALL)
-        assert reloaded is not None
-        assert _flat(grid) == _flat(reloaded)
+        grid = run_sweep(SMALL, jobs=1, cache=tmp_path)
+        assert _flat(grid) == _flat(_reload(tmp_path, SMALL))
 
     def test_order_sensitive_float_sums_survive_reload(self, tmp_path):
         # dynamic_energy_pj sums by_category.values(); a store that
         # reorders the category dict changes the summation order and the
         # result by one ulp (regression: sort_keys in the cache writer).
-        grid = run_sweep(SMALL, jobs=1, cache=SweepCache(tmp_path))
-        reloaded = SweepCache(tmp_path).load(SMALL)
+        grid = run_sweep(SMALL, jobs=1, cache=tmp_path)
+        reloaded = _reload(tmp_path, SMALL)
         for w, per_scheme in grid.items():
             for s, stats in per_scheme.items():
                 assert reloaded[w][s].dynamic_energy_pj == stats.dynamic_energy_pj
 
     def test_run_sweep_warm_cache_skips_simulation(self, tmp_path, monkeypatch):
-        run_sweep(SMALL, jobs=1, cache=SweepCache(tmp_path))
+        run_sweep(SMALL, jobs=1, cache=tmp_path)
         clear_sweep_cache()
 
         import repro.experiments.planner as planner_mod
@@ -123,32 +131,36 @@ class TestRoundTrip:
 
         monkeypatch.setattr(planner_mod, "simulate_unit", explode)
         monkeypatch.setattr(planner_mod, "run_units_parallel", explode)
-        grid = run_sweep(SMALL, jobs=1, cache=SweepCache(tmp_path))
+        grid = run_sweep(SMALL, jobs=1, cache=tmp_path)
         assert set(grid["gcc"]) == {"Ideal", "Hybrid"}
 
     def test_miss_on_empty_dir(self, tmp_path):
-        assert SweepCache(tmp_path).load(SMALL) is None
+        assert RunCache(tmp_path).load(SMALL.run_hash("gcc", "Ideal")) is None
 
     def test_corrupt_file_is_a_miss(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = RunCache(tmp_path)
         run_sweep(SMALL, jobs=1, cache=cache)
-        cache.path_for(SMALL).write_text("{not json")
-        assert cache.load(SMALL) is None
+        key = SMALL.run_hash("gcc", "Hybrid")
+        cache.path_for(key).write_text("{not json")
+        assert cache.load(key) is None
 
     def test_clear_removes_entries(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = RunCache(tmp_path)
         run_sweep(SMALL, jobs=1, cache=cache)
-        # One whole-sweep file plus one granular entry per run: clear()
-        # covers both stores and reports the combined count.
         n_runs = len(SMALL.schemes) * len(SMALL.workloads)
-        assert cache.clear() == 1 + n_runs
-        assert cache.load(SMALL) is None
+        assert cache.clear() == n_runs
+        assert cache.load(SMALL.run_hash("gcc", "Ideal")) is None
 
-    def test_stored_payload_is_json(self, tmp_path):
-        cache = SweepCache(tmp_path)
+    def test_stored_payload_is_json(self, tmp_path, monkeypatch):
+        from repro.experiments.cache import RUN_GZIP_MIN_ENV
+
+        monkeypatch.setenv(RUN_GZIP_MIN_ENV, "0")
+        cache = RunCache(tmp_path)
         run_sweep(SMALL, jobs=1, cache=cache)
-        payload = json.loads(cache.path_for(SMALL).read_text())
-        assert payload["runs"]["gcc"]["Hybrid"]["reads"] > 0
+        key = SMALL.run_hash("gcc", "Hybrid")
+        payload = json.loads(cache.path_for(key).read_text())
+        assert payload["key"] == key
+        assert payload["stats"]["reads"] > 0
 
 
 class TestCacheCounters:
@@ -157,65 +169,60 @@ class TestCacheCounters:
     N_RUNS = len(SMALL.schemes) * len(SMALL.workloads)
 
     def test_cold_sweep_reports_all_misses(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = RunCache(tmp_path)
         run_sweep(SMALL, jobs=1, cache=cache)
         assert cache.counters.as_dict() == {
-            "hits": 0, "misses": self.N_RUNS, "stale": 0, "stores": 1,
-            "quarantined": 0,
+            "hits": 0, "misses": self.N_RUNS, "stale": 0,
+            "stores": self.N_RUNS, "quarantined": 0,
         }
 
     def test_warm_rerun_reports_all_hits(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        run_sweep(SMALL, jobs=1, cache=cache)
+        run_sweep(SMALL, jobs=1, cache=RunCache(tmp_path))
         clear_sweep_cache()
-        fresh = SweepCache(tmp_path)
+        fresh = RunCache(tmp_path)
         run_sweep(SMALL, jobs=1, cache=fresh)
         assert fresh.counters.hits == self.N_RUNS
         assert fresh.counters.misses == 0
         assert fresh.counters.stores == 0
 
     def test_config_change_reports_misses_again(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        run_sweep(SMALL, jobs=1, cache=cache)
+        run_sweep(SMALL, jobs=1, cache=RunCache(tmp_path))
         clear_sweep_cache()
-        changed = SweepSettings(
+        changed = SimSpec(
             schemes=SMALL.schemes,
             workloads=SMALL.workloads,
             target_requests=SMALL.target_requests,
             config=dataclasses.replace(MemoryConfig(), num_banks=8),
         )
-        fresh = SweepCache(tmp_path)
+        fresh = RunCache(tmp_path)
         run_sweep(changed, jobs=1, cache=fresh)
         assert fresh.counters.hits == 0
         assert fresh.counters.misses == self.N_RUNS
 
     def test_granular_entries_survive_whole_sweep_corruption(self, tmp_path):
-        # The per-run store is written beside the whole-sweep entry, so
-        # corrupting the whole-sweep file alone still yields all hits.
-        cache = SweepCache(tmp_path)
-        run_sweep(SMALL, jobs=1, cache=cache)
+        # A corrupt legacy whole-sweep file at the root is never read:
+        # the run entries under runs/ still serve every run.
+        run_sweep(SMALL, jobs=1, cache=RunCache(tmp_path))
         clear_sweep_cache()
-        cache.path_for(SMALL).write_text("{not json")
-        fresh = SweepCache(tmp_path)
+        (tmp_path / f"{SMALL.content_hash()}.json").write_text("{not json")
+        fresh = RunCache(tmp_path)
         run_sweep(SMALL, jobs=1, cache=fresh)
         assert fresh.counters.hits == self.N_RUNS
         assert fresh.counters.misses == 0
 
     def test_corrupt_files_count_as_stale_and_missed(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        run_sweep(SMALL, jobs=1, cache=cache)
+        run_sweep(SMALL, jobs=1, cache=RunCache(tmp_path))
         clear_sweep_cache()
-        cache.path_for(SMALL).write_text("{not json")
         for entry in (tmp_path / "runs").glob("*.json"):
             entry.write_text("{not json")
-        fresh = SweepCache(tmp_path)
+        fresh = RunCache(tmp_path)
         run_sweep(SMALL, jobs=1, cache=fresh)
         assert fresh.counters.stale == self.N_RUNS
         assert fresh.counters.misses == self.N_RUNS
         assert fresh.counters.hits == 0
 
     def test_memo_hit_bypasses_persistent_counters(self, tmp_path):
-        cache = SweepCache(tmp_path)
+        cache = RunCache(tmp_path)
         run_sweep(SMALL, jobs=1, cache=cache)
         before = cache.counters.as_dict()
         run_sweep(SMALL, jobs=1, cache=cache)  # served from in-process memo
@@ -224,11 +231,11 @@ class TestCacheCounters:
 
 class TestParallelSerialCacheEquivalence:
     def test_parallel_write_serial_read_identical(self, tmp_path):
-        parallel = run_sweep(SMALL, jobs=2, cache=SweepCache(tmp_path))
+        parallel = run_sweep(SMALL, jobs=2, cache=tmp_path)
         clear_sweep_cache()
         # The serial uncached run must match what the parallel run cached.
         serial = run_sweep(SMALL, jobs=1)
-        cached = SweepCache(tmp_path).load(SMALL)
+        cached = _reload(tmp_path, SMALL)
         assert _flat(serial) == _flat(parallel) == _flat(cached)
 
 
@@ -238,7 +245,7 @@ class TestRunCacheGzip:
     @pytest.fixture(scope="class")
     def one_stats(self):
         grid = run_sweep(
-            SweepSettings(
+            SimSpec(
                 schemes=("Ideal",), workloads=("gcc",), target_requests=400
             ),
             jobs=1, cache=False,

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.baselines.precise import PreciseWritePolicy
-from repro.core.schemes import PolicyContext
+from repro.core.policies import PolicyContext
 from repro.experiments.extras import (
     bch_detection_study,
     precise_write_comparison,

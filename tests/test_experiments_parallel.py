@@ -9,12 +9,11 @@ import pytest
 
 from repro.experiments.parallel import (
     TraceMemo,
-    run_sweep_parallel,
     run_units_parallel,
-    simulate_batch,
+    simulate_unit,
 )
 from repro.experiments.planner import plan_units
-from repro.experiments.runner import SweepSettings, clear_sweep_cache, run_sweep
+from repro.experiments.runner import SimSpec, clear_sweep_cache, run_sweep
 
 
 @pytest.fixture(autouse=True)
@@ -24,7 +23,7 @@ def clean_cache():
     clear_sweep_cache()
 
 
-SMALL = SweepSettings(
+SMALL = SimSpec(
     schemes=("Ideal", "Hybrid", "LWT-4"),
     workloads=("gcc", "sphinx3"),
     target_requests=1_200,
@@ -89,18 +88,18 @@ class TestDeterminism:
         assert _flat(serial) == _flat(parallel)
 
     def test_parallel_grid_in_canonical_order(self):
-        grid = run_sweep_parallel(SMALL, jobs=2)
+        grid = run_sweep(SMALL, jobs=2)
         assert tuple(grid) == SMALL.workloads
         for per_scheme in grid.values():
             assert tuple(per_scheme) == SMALL.schemes
 
     def test_batch_matches_serial_inner_loop(self):
-        # simulate_batch IS the serial inner loop; a direct call must
-        # reproduce the run_sweep entries for its workload.
+        # simulate_unit IS the serial inner step; direct calls must
+        # reproduce the run_sweep entries for their workload.
         grid = run_sweep(SMALL, jobs=1)
-        batch = dict(simulate_batch(SMALL, "gcc", SMALL.schemes))
         for scheme in SMALL.schemes:
-            assert batch[scheme].to_dict() == grid["gcc"][scheme].to_dict()
+            direct = simulate_unit(SMALL, "gcc", scheme)
+            assert direct.to_dict() == grid["gcc"][scheme].to_dict()
 
 
 class TestRunSweepJobs:
@@ -111,7 +110,7 @@ class TestRunSweepJobs:
     def test_parallel_result_is_memoized(self):
         first = run_sweep(SMALL, jobs=2)
         second = run_sweep(SMALL, jobs=2)
-        assert first is second
+        assert second["gcc"]["Hybrid"] is first["gcc"]["Hybrid"]
 
 
 class TestWorkerPropagation:

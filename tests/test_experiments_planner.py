@@ -1,14 +1,13 @@
 """Tests for the run-level execution planner.
 
-Covers the ISSUE-mandated behaviours: per-run cache migration from
-legacy whole-sweep entries, cross-artifact deduplication (asserted via
-the ``plan.*`` counters), and work-stealing determinism across job
-counts.
+Covers the granular run store (and that legacy whole-sweep files are
+ignored), cross-artifact deduplication (asserted via the ``plan.*``
+counters), and work-stealing determinism across job counts.
 """
 
 import pytest
 
-from repro.experiments.cache import RUN_CACHE_SUBDIR, RunCache, SweepCache
+from repro.experiments.cache import RUN_CACHE_SUBDIR, RunCache
 from repro.experiments.planner import (
     DEFAULT_RUN_MEMO_CAPACITY,
     PlanStats,
@@ -113,54 +112,24 @@ class TestCrossArtifactDedup:
         assert _flat(shared_grid) == _flat(direct)
 
 
-class TestMigration:
-    def test_whole_sweep_entry_serves_granular_hits(self, tmp_path, monkeypatch):
-        # Simulate once with *only* a whole-sweep entry on disk (the
-        # pre-planner layout), then re-plan against it.
-        legacy = SweepCache(tmp_path)
-        grid = run_sweep(SMALL, jobs=1)
-        legacy.store(SMALL, grid)
+class TestLegacyWholeSweepEntry:
+    def test_root_level_entry_is_ignored_and_left_in_place(self, tmp_path):
+        # A whole-sweep file from an older release sits at the cache root,
+        # where only runs/ is read now: the cold plan simulates, the
+        # warm plan is served from runs/, and the file is never touched.
+        legacy = tmp_path / f"{SMALL.content_hash()}.json"
+        legacy.write_text('{"format": 1, "runs": {}}')
+        cold = build_plan([SMALL])
+        execute_plan(cold, jobs=1, store=RunCache(tmp_path))
+        assert cold.stats.units_simulated == len(cold.units)
         clear_sweep_cache()
-
-        import repro.experiments.planner as planner_mod
-
-        def explode(*_args, **_kwargs):
-            raise AssertionError("migration must not simulate")
-
-        monkeypatch.setattr(planner_mod, "simulate_unit", explode)
-        monkeypatch.setattr(planner_mod, "run_units_parallel", explode)
-        plan = build_plan([SMALL])
-        results = execute_plan(plan, jobs=1, cache=SweepCache(tmp_path))
-        assert plan.stats.units_migrated == len(plan.units)
-        assert plan.stats.units_simulated == 0
-        assert _flat(plan.grid_for(SMALL, results)) == _flat(grid)
-
-    def test_migrated_units_are_restored_granularly(self, tmp_path):
-        legacy = SweepCache(tmp_path)
-        legacy.store(SMALL, run_sweep(SMALL, jobs=1))
-        clear_sweep_cache()
-        run_dir = tmp_path / RUN_CACHE_SUBDIR
-        assert not run_dir.exists()
-        plan = build_plan([SMALL])
-        execute_plan(plan, jobs=1, cache=SweepCache(tmp_path))
-        assert len(list(run_dir.glob("*.json"))) == len(plan.units)
-        # Next planner pass hits the granular store directly.
-        clear_sweep_cache()
-        second = build_plan([SMALL])
-        execute_plan(second, jobs=1, cache=SweepCache(tmp_path))
-        assert second.stats.units_disk == len(second.units)
-        assert second.stats.units_migrated == 0
-
-    def test_partial_overlap_migrates_only_shared_units(self, tmp_path):
-        legacy = SweepCache(tmp_path)
-        legacy.store(SMALL, run_sweep(SMALL, jobs=1))
-        clear_sweep_cache()
-        plan = build_plan([OVERLAPPING])
-        execute_plan(plan, jobs=1, cache=SweepCache(tmp_path))
-        # (gcc, Ideal) and (gcc, Hybrid) exist only inside SMALL's legacy
-        # entry, which OVERLAPPING's planner pass cannot see (different
-        # sweep key); only genuinely new units simulate on top.
-        assert plan.stats.units_simulated == len(plan.units)
+        warm = build_plan([SMALL])
+        execute_plan(warm, jobs=1, store=RunCache(tmp_path))
+        assert warm.stats.units_disk == len(warm.units)
+        assert legacy.read_text() == '{"format": 1, "runs": {}}'
+        assert len(list((tmp_path / RUN_CACHE_SUBDIR).glob("*.json"))) == len(
+            cold.units
+        )
 
 
 class TestRunCacheStore:
@@ -244,7 +213,7 @@ class TestPlanEdgeCases:
         # readduo report and the CI smokes key off these names.
         assert set(PlanStats().as_dict()) == {
             "units_total", "units_cached", "units_simulated",
-            "units_deduped", "units_memo", "units_disk", "units_migrated",
+            "units_deduped", "units_memo", "units_disk",
             "stale", "quarantined", "schedule_wall_s",
         }
 
@@ -271,11 +240,10 @@ class TestRunMemoLRU:
         assert run_memo_size() == 1
 
     def test_eviction_falls_back_to_disk_not_resimulation(self, tmp_path):
-        cache = SweepCache(tmp_path)
-        execute_plan(build_plan([SMALL]), jobs=1, cache=cache)
+        execute_plan(build_plan([SMALL]), jobs=1, store=RunCache(tmp_path))
         set_run_memo_capacity(1)  # evicts 3 of the 4 memoized runs
         warm = build_plan([SMALL])
-        execute_plan(warm, jobs=1, cache=SweepCache(tmp_path))
+        execute_plan(warm, jobs=1, store=RunCache(tmp_path))
         assert warm.stats.units_simulated == 0
         assert warm.stats.units_disk == 3
         assert warm.stats.units_memo == 1
@@ -304,10 +272,10 @@ class TestRunMemoLRU:
 
 class TestSweepCacheHitCounter:
     def test_warm_sweep_counts_cache_hits(self, tmp_path):
-        run_sweep(SMALL, jobs=1, cache=SweepCache(tmp_path))
+        run_sweep(SMALL, jobs=1, cache=tmp_path)
         clear_sweep_cache()
         tele = Telemetry(tracer=Tracer(), metrics=MetricsRegistry())
-        run_sweep(SMALL, jobs=1, cache=SweepCache(tmp_path), telemetry=tele)
+        run_sweep(SMALL, jobs=1, cache=tmp_path, telemetry=tele)
         counters = tele.metrics.to_dict()["counters"]
         n_runs = len(SMALL.schemes) * len(SMALL.workloads)
         assert counters["sweep.cache_hits"] == n_runs
@@ -354,8 +322,7 @@ class TestLookupCached:
     def test_memo_then_disk_tiers(self, tmp_path):
         from repro.experiments.planner import lookup_cached
 
-        cache = SweepCache(tmp_path)
-        run_sweep(SMALL, jobs=1, cache=cache)  # warm memo + disk
+        run_sweep(SMALL, jobs=1, cache=tmp_path)  # warm memo + disk
         units = build_plan([SMALL]).units
         store = RunCache(tmp_path)
 

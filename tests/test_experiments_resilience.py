@@ -18,11 +18,11 @@ from pathlib import Path
 import pytest
 
 import repro.experiments.parallel as parallel_mod
-from repro.experiments.cache import RunCache, SweepCache
+from repro.experiments.cache import RunCache
 from repro.experiments.planner import build_plan, execute_plan, plan_units
-from repro.experiments.runner import SweepSettings, clear_sweep_cache, run_sweep
+from repro.experiments.runner import SimSpec, clear_sweep_cache, run_sweep
 
-SMALL = SweepSettings(
+SMALL = SimSpec(
     schemes=("Ideal", "Hybrid"),
     workloads=("gcc",),
     target_requests=1_200,
@@ -40,7 +40,7 @@ def clean_cache():
 
 def _prime(tmp_path):
     """Fill the granular store, then drop the in-process memo."""
-    results = execute_plan(build_plan([SMALL]), cache=SweepCache(tmp_path))
+    results = execute_plan(build_plan([SMALL]), store=RunCache(tmp_path))
     clear_sweep_cache()
     return results
 
@@ -82,9 +82,9 @@ class TestCacheQuarantine:
         for path in _granular_files(tmp_path):
             corrupt(path)
 
-        cache = SweepCache(tmp_path)
+        cache = RunCache(tmp_path)
         plan = build_plan([SMALL])
-        results = execute_plan(plan, cache=cache)
+        results = execute_plan(plan, store=cache)
 
         # The run completed, every unit re-simulated, nothing raised.
         assert results.keys() == good.keys()
@@ -104,7 +104,7 @@ class TestCacheQuarantine:
         _truncate(victim)
 
         plan = build_plan([SMALL])
-        results = execute_plan(plan, cache=SweepCache(tmp_path))
+        results = execute_plan(plan, store=RunCache(tmp_path))
 
         assert len(results) == N_RUNS
         assert plan.stats.quarantined == 1
@@ -117,7 +117,7 @@ class TestCacheQuarantine:
         for path in _granular_files(tmp_path):
             _garbage(path)
         plan = build_plan([SMALL])
-        results = execute_plan(plan, cache=SweepCache(tmp_path))
+        results = execute_plan(plan, store=RunCache(tmp_path))
         assert {k: v.to_dict() for k, v in results.items()} == {
             k: v.to_dict() for k, v in good.items()
         }
@@ -136,15 +136,15 @@ class TestCacheQuarantine:
 
 class TestClearCoversGranularStore:
     def test_post_clear_rerun_simulates_every_unit(self, tmp_path):
-        # Satellite regression: clear() used to leave runs/ behind, so a
-        # "cold" rerun was silently served from the granular store.
-        cache = SweepCache(tmp_path)
+        # clear() must not leave runs/ behind, or a "cold" rerun would
+        # be silently served from the granular store.
+        cache = RunCache(tmp_path)
         run_sweep(SMALL, jobs=1, cache=cache)
         clear_sweep_cache()
-        assert cache.clear() == 1 + N_RUNS
+        assert cache.clear() == N_RUNS
 
         plan = build_plan([SMALL])
-        execute_plan(plan, cache=SweepCache(tmp_path))
+        execute_plan(plan, store=RunCache(tmp_path))
         assert plan.stats.units_simulated == N_RUNS
         assert plan.stats.units_cached == 0
 
@@ -156,7 +156,7 @@ class TestClearCoversGranularStore:
         for path in _granular_files(tmp_path):
             run_cache.load(path.stem)
         assert len(list((tmp_path / "runs").glob("*.json.bad"))) == N_RUNS
-        assert SweepCache(tmp_path).clear() == N_RUNS  # the .bad files
+        assert RunCache(tmp_path).clear() == N_RUNS  # the .bad files
         assert not list((tmp_path / "runs").glob("*"))
 
 

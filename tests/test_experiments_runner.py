@@ -4,7 +4,7 @@ import pytest
 
 from repro.experiments.runner import (
     ALL_SCHEMES,
-    SweepSettings,
+    SimSpec,
     clear_sweep_cache,
     run_sweep,
 )
@@ -17,7 +17,7 @@ def clean_cache():
     clear_sweep_cache()
 
 
-SMALL = SweepSettings(
+SMALL = SimSpec(
     schemes=("Ideal", "Hybrid"),
     workloads=("gcc",),
     target_requests=1_500,
@@ -31,30 +31,32 @@ class TestRunSweep:
         assert set(sweep["gcc"]) == {"Ideal", "Hybrid"}
 
     def test_memoized(self):
+        # The planner's run memo serves the repeat: the same objects.
         first = run_sweep(SMALL)
         second = run_sweep(SMALL)
-        assert first is second
+        assert second == first
+        assert second["gcc"]["Hybrid"] is first["gcc"]["Hybrid"]
 
     def test_cache_cleared(self):
         first = run_sweep(SMALL)
         clear_sweep_cache()
         second = run_sweep(SMALL)
-        assert first is not second
+        assert second["gcc"]["Hybrid"] is not first["gcc"]["Hybrid"]
 
     def test_different_settings_different_entries(self):
         first = run_sweep(SMALL)
         other = run_sweep(
-            SweepSettings(
+            SimSpec(
                 schemes=("Ideal", "Hybrid"),
                 workloads=("gcc",),
                 target_requests=1_500,
                 seed=7,
             )
         )
-        assert first is not other
+        assert other["gcc"]["Hybrid"] is not first["gcc"]["Hybrid"]
 
     def test_all_workloads_when_unspecified(self):
-        settings = SweepSettings(schemes=("Ideal",), target_requests=1_500)
+        settings = SimSpec(schemes=("Ideal",), target_requests=1_500)
         assert len(settings.effective_workloads()) == 14
 
     def test_quick_copy(self):

@@ -5,8 +5,8 @@ import json
 
 import pytest
 
-from repro.experiments.cache import settings_key
-from repro.experiments.runner import SweepSettings, clear_sweep_cache, run_sweep
+from repro.experiments.cache import RunCache
+from repro.experiments.runner import clear_sweep_cache, run_sweep
 from repro.experiments.spec import ALL_SCHEMES, SimSpec, SpecError
 from repro.memsim.config import DEFAULT_EPOCH_S, MemoryConfig
 from repro.traces.spec import workload, workload_names
@@ -27,10 +27,6 @@ class TestConstruction:
         assert spec.seed == 42
         assert spec.epoch_s == DEFAULT_EPOCH_S
         assert spec.config == MemoryConfig()
-
-    def test_sweepsettings_is_simspec(self):
-        # The historical name is an alias for the one spec type.
-        assert SweepSettings is SimSpec
 
     def test_schemes_are_canonicalized(self):
         spec = SimSpec(schemes=("readduo-lwt-4", "HYBRID", "select-4:2"))
@@ -171,9 +167,6 @@ class TestContentHash:
         explicit = SimSpec(schemes=("Ideal",), workloads=workload_names())
         assert implicit.content_hash() == explicit.content_hash()
 
-    def test_settings_key_is_exactly_content_hash(self):
-        assert settings_key(SMALL) == SMALL.content_hash()
-
 
 class TestExecutionHelpers:
     def test_trace_for_matches_spec_identity(self, small_config):
@@ -202,9 +195,7 @@ class TestExecutionHelpers:
 
 class TestRunSweepCanonicalization:
     def test_alias_spec_hits_same_memo_and_cache(self, tmp_path, small_config):
-        from repro.experiments.cache import SweepCache
-
-        cache = SweepCache(tmp_path)
+        cache = RunCache(tmp_path)
         canonical = SimSpec(
             schemes=("LWT-4",), workloads=("gcc",), target_requests=600,
             config=small_config,
@@ -216,8 +207,8 @@ class TestRunSweepCanonicalization:
         try:
             grid = run_sweep(canonical, jobs=1, cache=cache)
             again = run_sweep(aliased, jobs=1, cache=cache)
-            # Same canonical spec: the memoized grid is returned as-is.
-            assert again is grid
+            # Same canonical spec: the memoized run is returned as-is.
+            assert again["gcc"]["LWT-4"] is grid["gcc"]["LWT-4"]
             assert cache.counters.stores == 1
         finally:
             clear_sweep_cache()

@@ -252,7 +252,8 @@ class TestAccounting:
         assert stats.wear.by_cause.get("demand", 0) == 3 * 296
 
     def test_deterministic(self, config, small_profile):
-        from repro.core.schemes import PolicyContext, make_policy
+        from repro.core.policies import PolicyContext
+        from repro.core.registry import make_policy
         from repro.traces.generator import generate_trace
 
         trace = generate_trace(small_profile, 50_000, seed=3)

@@ -10,8 +10,9 @@ import json
 
 import pytest
 
-from repro.core.schemes import PolicyContext, make_policy
-from repro.experiments.runner import SweepSettings, clear_sweep_cache, run_sweep
+from repro.core.policies import PolicyContext
+from repro.core.registry import make_policy
+from repro.experiments.runner import SimSpec, clear_sweep_cache, run_sweep
 from repro.memsim.config import MemoryConfig
 from repro.memsim.engine import simulate
 from repro.obs import MetricsRegistry, Telemetry, Tracer, chrome_trace_events
@@ -130,7 +131,7 @@ class TestRunStatsInvariants:
     @pytest.fixture(scope="class")
     def small_grid(self):
         clear_sweep_cache()
-        settings = SweepSettings(
+        settings = SimSpec(
             schemes=(
                 "Ideal", "Scrubbing", "M-metric", "Hybrid",
                 "LWT-4", "LWT-4-noconv", "Select-4:2", "TLC",

@@ -11,8 +11,8 @@ import json
 import pytest
 
 from repro.core.registry import make_policy
-from repro.core.schemes import PolicyContext
-from repro.experiments.cache import SweepCache
+from repro.core.policies import PolicyContext
+from repro.experiments.cache import RunCache
 from repro.experiments.planner import build_plan, execute_plan
 from repro.experiments.runner import clear_sweep_cache
 from repro.experiments.spec import SimSpec
@@ -49,10 +49,10 @@ def _ledger_records(path):
     ]
 
 
-def _run_with_ledger(path, jobs=1, cache=None):
+def _run_with_ledger(path, jobs=1, store=None):
     tele = Telemetry(ledger=RunLedger(path))
     plan = build_plan([SMALL])
-    results = execute_plan(plan, jobs=jobs, cache=cache, telemetry=tele)
+    results = execute_plan(plan, jobs=jobs, store=store, telemetry=tele)
     tele.ledger.close()
     return _ledger_records(path), results
 
@@ -104,13 +104,13 @@ class TestExecutePlanLedger:
     def test_disk_tier_records_cached_bytes(self, tmp_path):
         cache_root = tmp_path / "cache"
         records, _ = _run_with_ledger(
-            tmp_path / "cold.jsonl", jobs=1, cache=SweepCache(cache_root)
+            tmp_path / "cold.jsonl", jobs=1, store=RunCache(cache_root)
         )
         # The cold run stored granular entries; their sizes are recorded.
         assert all(r["cached_bytes"] > 0 for r in records)
         clear_sweep_cache()
         warm, _ = _run_with_ledger(
-            tmp_path / "warm.jsonl", jobs=1, cache=SweepCache(cache_root)
+            tmp_path / "warm.jsonl", jobs=1, store=RunCache(cache_root)
         )
         assert all(r["tier"] == "disk" for r in warm)
         assert all(r["cached_bytes"] > 0 for r in warm)

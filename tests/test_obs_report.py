@@ -41,6 +41,19 @@ class TestParseLedgerLines:
         records = parse_ledger_lines(lines)
         assert [r["run_hash"] for r in records] == ["h1"]
 
+    def test_legacy_migrated_tier_reads_as_disk(self):
+        # Ledgers written while a whole-sweep cache existed record runs
+        # read from it as "migrated"; those were disk reads.
+        lines = [
+            json.dumps(_record("h1", "migrated")),
+            json.dumps(_record("h2", "disk")),
+        ]
+        records = parse_ledger_lines(lines)
+        assert [r["tier"] for r in records] == ["disk", "disk"]
+        summary = summarize_ledger(records)
+        assert summary["tiers"] == {"memo": 0, "disk": 2, "simulated": 0}
+        assert summary["cache_hit_ratio"] == 1.0
+
 
 class TestLastInvocation:
     def test_filters_to_final_trace_id(self):
@@ -77,7 +90,7 @@ class TestSummarizeLedger:
         assert summary["tiers"]["simulated"] == 1
         assert summary["tiers"]["memo"] == 0
         assert summary["record_tiers"] == {
-            "memo": 1, "disk": 0, "migrated": 0, "simulated": 1,
+            "memo": 1, "disk": 0, "simulated": 1,
         }
         assert summary["plans"] == 2
         assert summary["units_simulated"] == 1
@@ -279,6 +292,25 @@ class TestReportCli:
         summary = json.loads(capsys.readouterr().out)
         assert summary["units_simulated"] == 0
         assert summary["tiers"]["disk"] == 1
+
+    def test_old_ledger_with_migrated_records_loads(self, tmp_path, capsys):
+        path = tmp_path / "old.jsonl"
+        path.write_text(
+            '{"kind": "run", "plan": 1, "run_hash": "h1", "workload": "mcf", '
+            '"scheme": "Hybrid", "tier": "migrated", "engine": "batch", '
+            '"fastpath": null, "wall_s": null, "t_s": null, "pid": 7, '
+            '"cached_bytes": 512, "faults": null, "trace": "t1"}\n'
+            '{"kind": "run", "plan": 1, "run_hash": "h2", "workload": "gcc", '
+            '"scheme": "Ideal", "tier": "simulated", "engine": "batch", '
+            '"fastpath": "speculated", "wall_s": 0.2, "t_s": 1.0, "pid": 7, '
+            '"cached_bytes": 256, "faults": null, "trace": "t1"}\n',
+            encoding="utf-8",
+        )
+        assert main(["report", "--ledger", str(path), "--json"]) == 0
+        summary = json.loads(capsys.readouterr().out)
+        assert summary["tiers"] == {"memo": 0, "disk": 1, "simulated": 1}
+        assert main(["report", "--ledger", str(path)]) == 0
+        assert "migrated" not in capsys.readouterr().out
 
     def test_metrics_snapshot_included(self, tmp_path, capsys):
         ledger = tmp_path / "l.jsonl"

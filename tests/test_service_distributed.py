@@ -13,7 +13,7 @@ import time
 
 import pytest
 
-from repro.experiments.cache import SweepCache
+from repro.experiments.cache import RunCache
 from repro.experiments.planner import build_plan, execute_plan
 from repro.experiments.runner import clear_sweep_cache
 from repro.experiments.spec import SimSpec
@@ -23,7 +23,6 @@ from repro.service.coordinator import LeaseCoordinator
 from repro.service.execution import ExecutionService, sweep_payload
 from repro.service.server import ServeConfig, SimServer
 from repro.service.store import (
-    FilesystemRunStore,
     RemoteRunStore,
     parse_store_entry,
     store_entry_payload,
@@ -416,7 +415,7 @@ class TestStoreEndpoints:
 
         async def body(server, client):
             await client.store_put(key, store_entry_payload(key, stats))
-            local = FilesystemRunStore(tmp_path)
+            local = RunCache(tmp_path)
             remote = RemoteRunStore(
                 f"http://127.0.0.1:{server.port}", local=local
             )
@@ -449,7 +448,7 @@ class TestDeterministicCacheBytes:
         for name in ("worker-a", "worker-b"):
             clear_sweep_cache()  # each "worker" starts cold
             plan = build_plan([spec])
-            execute_plan(plan, jobs=1, cache=SweepCache(tmp_path / name))
+            execute_plan(plan, jobs=1, store=RunCache(tmp_path / name))
             runs_dir = tmp_path / name / "runs"
             entries[name] = {
                 path.name: path.read_bytes()

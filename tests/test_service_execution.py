@@ -5,15 +5,12 @@ import json
 import pytest
 
 from repro.experiments import EXPERIMENT_SPECS, EXPERIMENTS, SWEEP_EXPERIMENTS
-from repro.experiments.cache import SweepCache
+from repro.experiments.cache import RunCache
 from repro.experiments.planner import run_memo_capacity, run_memo_size
-from repro.experiments.runner import (
-    clear_sweep_cache,
-    configure_sweep_defaults,
-    run_sweep,
-)
+from repro.experiments.runner import clear_sweep_cache, run_sweep
 from repro.experiments.spec import SimSpec
 from repro.service import ExecutionService, MemoryRunStore, sweep_payload
+from repro.service.execution import session_service
 
 
 @pytest.fixture(autouse=True)
@@ -64,7 +61,7 @@ class TestSubmit:
 
     def test_explicit_store_backend(self):
         store = MemoryRunStore()
-        service = ExecutionService(cache=False, store=store)
+        service = ExecutionService(cache=store)
         service.submit([SPEC])
         assert len(store) == 2
         clear_sweep_cache()
@@ -79,19 +76,17 @@ class TestSubmit:
 
 class TestSweep:
     def test_sweep_equals_run_sweep_byte_for_byte(self, tmp_path):
-        service = ExecutionService(cache=SweepCache(tmp_path))
+        service = ExecutionService(cache=tmp_path)
         via_service = sweep_payload(SPEC, service.sweep(SPEC))
         clear_sweep_cache()
-        direct = sweep_payload(
-            SPEC, run_sweep(SPEC, jobs=1, cache=SweepCache(tmp_path))
-        )
+        direct = sweep_payload(SPEC, run_sweep(SPEC, jobs=1, cache=tmp_path))
         assert (
             json.dumps(via_service, indent=2, sort_keys=True)
             == json.dumps(direct, indent=2, sort_keys=True)
         )
 
     def test_sweep_with_custom_store_matches_filesystem_path(self, tmp_path):
-        with_store = ExecutionService(cache=False, store=MemoryRunStore())
+        with_store = ExecutionService(cache=MemoryRunStore())
         grid_store = with_store.sweep(SPEC)
         clear_sweep_cache()
         plain = ExecutionService(cache=False)
@@ -99,24 +94,37 @@ class TestSweep:
         assert _flat(grid_store) == _flat(grid_plain)
 
     def test_cache_property_reflects_configuration(self, tmp_path):
-        assert ExecutionService(cache=False).cache is None
-        explicit = SweepCache(tmp_path)
-        assert ExecutionService(cache=explicit).cache is explicit
+        assert ExecutionService(cache=False).store is None
+        assert ExecutionService(cache=None).store is None
+        explicit = RunCache(tmp_path)
+        assert ExecutionService(cache=explicit).store is explicit
         assert ExecutionService(
             cache=str(tmp_path)
-        ).cache.cache_dir == explicit.cache_dir
+        ).store.cache_dir == explicit.cache_dir
 
 
 class TestSession:
     def test_session_installs_and_restores_sweep_defaults(self, tmp_path):
-        # configure_sweep_defaults() with no arguments reads the current
-        # defaults without changing anything.
-        previous = configure_sweep_defaults()
-        service = ExecutionService(jobs=1, cache=SweepCache(tmp_path))
+        previous = session_service()
+        service = ExecutionService(jobs=1, cache=tmp_path)
         with service.session():
-            inside = configure_sweep_defaults()
-            assert inside[1] is service.cache
-        assert configure_sweep_defaults() == previous
+            assert session_service() is service
+            run_sweep(SPEC)  # runs on the installed service's store
+        assert session_service() is previous
+        assert service.store.counters.stores == 2
+        # The default session: serial, no store, no telemetry.
+        assert (previous.jobs, previous.store, previous.telemetry) == (
+            1, None, None
+        )
+
+    def test_run_sweep_arguments_override_the_session(self, tmp_path):
+        service = ExecutionService(jobs=1, cache=tmp_path)
+        with service.session():
+            assert session_service(jobs=2).jobs == 2
+            assert session_service(jobs=2).store is service.store
+            run_sweep(SPEC, cache=False)  # this call persists nothing
+        assert service.store.counters.stores == 0
+        assert not (tmp_path / "runs").exists()
 
     def test_run_experiment_dispatches_known_driver(self, monkeypatch):
         calls = {}
@@ -192,11 +200,11 @@ class TestMemoPolicy:
         assert service.memo_size() == 0
 
     def test_describe_snapshot(self, tmp_path):
-        service = ExecutionService(
-            jobs=2, cache=SweepCache(tmp_path), store=MemoryRunStore()
-        )
-        snapshot = service.describe()
+        snapshot = ExecutionService(jobs=2, cache=tmp_path).describe()
         assert snapshot["jobs"] == 2
         assert snapshot["cache_dir"] == str(tmp_path)
-        assert snapshot["store"] == "MemoryRunStore"
+        assert snapshot["store"] == "RunCache"
         assert isinstance(snapshot["memo_runs"], int)
+        in_memory = ExecutionService(cache=MemoryRunStore()).describe()
+        assert in_memory["cache_dir"] is None
+        assert in_memory["store"] == "MemoryRunStore"

@@ -410,6 +410,28 @@ class TestMalformedRequests:
         assert stats["counters"]["bad_requests"] == 1
         assert stats["counters"]["errors"] == 0
 
+    @pytest.mark.parametrize("scheme", ["LWT-3", "Select-4:0", "Select-3:1"])
+    def test_impossible_scheme_parameters_are_400_not_500(self, scheme):
+        # The name matches a family pattern but no policy can be built
+        # from it: validation must reject it before anything runs.
+        doc = json.dumps(
+            {"schemes": [scheme], "workloads": ["gcc"], "target_requests": 400}
+        ).encode()
+        payload = (
+            b"POST /v1/submit HTTP/1.1\r\nHost: x\r\nConnection: close\r\n"
+            + f"Content-Length: {len(doc)}\r\n\r\n".encode()
+            + doc
+        )
+
+        async def body(server, client):
+            raw = await _raw_exchange(server, payload)
+            return raw, await client.stats()
+
+        raw, stats = run(body)
+        assert _status(raw) == 400
+        assert "unknown schemes" in json.loads(raw.split(b"\r\n\r\n", 1)[1])["error"]
+        assert stats["counters"]["errors"] == 0
+
     def test_oversized_body_is_413(self):
         async def body(server, client):
             raw = await _raw_exchange(

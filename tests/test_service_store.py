@@ -6,7 +6,8 @@ from repro.experiments.cache import RunCache, RunStore
 from repro.experiments.planner import build_plan, execute_plan
 from repro.experiments.runner import clear_sweep_cache, run_sweep
 from repro.experiments.spec import SimSpec
-from repro.service.store import FilesystemRunStore, MemoryRunStore
+from repro.service import store as store_mod
+from repro.service.store import MemoryRunStore
 
 
 @pytest.fixture(autouse=True)
@@ -25,7 +26,9 @@ def _one_stats():
 
 class TestInterface:
     def test_filesystem_store_is_the_run_cache(self):
-        assert FilesystemRunStore is RunCache
+        # The filesystem backend the service layer exports is the one
+        # RunCache class, not a copy or an alias.
+        assert store_mod.RunCache is RunCache
 
     def test_backends_implement_the_abc(self, tmp_path):
         assert isinstance(RunCache(tmp_path), RunStore)

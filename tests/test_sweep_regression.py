@@ -14,7 +14,7 @@ and say so in the changelog).
 import hashlib
 import json
 
-from repro.experiments.cache import SweepCache
+from repro.experiments.cache import RunCache
 from repro.experiments.planner import build_plan, execute_plan
 from repro.experiments.runner import clear_sweep_cache, run_sweep
 from repro.experiments.spec import SimSpec
@@ -57,30 +57,14 @@ def test_planner_granular_cache_round_trip_matches_pin(tmp_path):
     # (cleared memo) warm run must rebuild the identical grid purely from
     # the granular cache.
     try:
-        cold = run_sweep(PINNED_SPEC, jobs=1, cache=SweepCache(tmp_path))
+        cold = run_sweep(PINNED_SPEC, jobs=1, cache=tmp_path)
         assert _digest(cold) == PINNED_DIGEST
         clear_sweep_cache()
         plan = build_plan([PINNED_SPEC])
-        results = execute_plan(plan, jobs=1, cache=SweepCache(tmp_path))
+        results = execute_plan(plan, jobs=1, store=RunCache(tmp_path))
         assert plan.stats.units_simulated == 0
         assert plan.stats.units_disk == len(plan.units)
         assert _digest(plan.grid_for(PINNED_SPEC, results)) == PINNED_DIGEST
     finally:
         clear_sweep_cache()
 
-
-def test_whole_sweep_entry_migrates_to_pinned_digest(tmp_path):
-    # A legacy whole-sweep cache entry (no granular files) must satisfy
-    # the planner via read-through migration, bit-for-bit.
-    try:
-        cache = SweepCache(tmp_path)
-        grid = run_sweep(PINNED_SPEC, jobs=1, cache=False)
-        cache.store(PINNED_SPEC, grid)
-        clear_sweep_cache()
-        plan = build_plan([PINNED_SPEC])
-        results = execute_plan(plan, jobs=1, cache=SweepCache(tmp_path))
-        assert plan.stats.units_simulated == 0
-        assert plan.stats.units_migrated == len(plan.units)
-        assert _digest(plan.grid_for(PINNED_SPEC, results)) == PINNED_DIGEST
-    finally:
-        clear_sweep_cache()
